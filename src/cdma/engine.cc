@@ -155,23 +155,36 @@ CdmaEngine::planTransfer(const std::string &label,
         // sizes: compression latency is explicit and the COMP_BW cap
         // emerges when the compression stage cannot feed the link.
         const TransferEngine transfers(*this);
-        const OffloadResult result = transfers.offload(data, codec);
-        plan.wire_bytes = result.buffer.effectiveBytes();
-        plan.ratio = result.buffer.effectiveRatio();
-        plan.offload = result.timing;
-        plan.seconds = result.timing.overlapped_seconds;
+        // Measure the shard train the arena flow would store: per-shard
+        // raw and store-raw-floored wire bytes.
+        const uint64_t window_bytes = config_.compression.window_bytes;
+        std::vector<ShardTransfer> shards;
+        compressorFor(codec).compressShards(
+            data, transfers.shardWindows(), [&](CompressedShard &&shard) {
+                shards.push_back(
+                    {shard.raw_bytes, shard.effectiveBytes(window_bytes)});
+                plan.wire_bytes += shards.back().wire_bytes;
+            });
+        plan.ratio = plan.wire_bytes > 0
+            ? static_cast<double>(plan.raw_bytes) /
+                static_cast<double>(plan.wire_bytes)
+            : 1.0;
+        // No crossing happens here, so a configured fault process is
+        // priced in expectation (the arena flow samples it per crossing).
+        transfers.applyExpectedFaults(shards);
+        plan.offload = transfers.duplexTiming(shards, {}).offload;
+        plan.seconds = plan.offload.overlapped_seconds;
         // The prefetch leg returns the same compressed shards, so its
         // pipeline is modeled over the same measured sizes (wire in,
         // then decompress) without re-running the codec. Routed
         // through the duplex DES (prefetch direction only) so a
         // configured fault process prices its backoff identically in
         // both directions.
-        plan.prefetch = transfers.duplexTiming({}, result.shards).prefetch;
+        plan.prefetch = transfers.duplexTiming({}, shards).prefetch;
         // Integrity expectation for the round trip: the offload train
         // crosses once, the prefetch returns the same train.
-        plan.integrity = result.integrity;
-        plan.integrity.accumulate(
-            TransferEngine::trainIntegrity(result.shards));
+        plan.integrity = TransferEngine::trainIntegrity(shards);
+        plan.integrity.accumulate(TransferEngine::trainIntegrity(shards));
         plan.integrity.retry_stall_seconds =
             plan.offload.retry_stall_seconds +
             plan.prefetch.retry_stall_seconds;
@@ -187,8 +200,7 @@ CdmaEngine::planTransfer(const std::string &label,
                 std::max(plan.offload.overlapped_seconds,
                          plan.prefetch.overlapped_seconds);
         } else {
-            plan.duplex = transfers.duplexTiming(result.shards,
-                                                 result.shards);
+            plan.duplex = transfers.duplexTiming(shards, shards);
         }
     } else {
         const CompressedBuffer compressed =
@@ -250,17 +262,16 @@ CdmaEngine::planFromRatio(const std::string &label, uint64_t raw_bytes,
     // apply: plain DMA occupancy regardless of timing mode.
     if (config_.transfer.timing_mode == TimingMode::Overlapped &&
         config_.compression.enabled) {
+        const TransferEngine transfers(*this);
         if (config_.transfer.fault_injector != nullptr) {
-            // The schedulers' closed forms model a perfect link; with
-            // a fault process configured, replay the expected shard
-            // train (attempts / re-sent bytes in expectation) through
-            // the duplex DES so retries and backoff are priced.
-            const TransferEngine transfers(*this);
+            // The closed form models a perfect link; with a fault
+            // process configured, replay the expected shard train
+            // (attempts / re-sent bytes in expectation) through the
+            // duplex DES so retries and backoff are priced.
             const std::vector<ShardTransfer> train =
                 transfers.shardTrain(raw_bytes, plan.ratio);
             plan.offload = transfers.duplexTiming(train, {}).offload;
             plan.prefetch = transfers.duplexTiming({}, train).prefetch;
-            plan.seconds = plan.offload.overlapped_seconds;
             // Round trip: the train crosses once per direction.
             plan.integrity = TransferEngine::trainIntegrity(train);
             plan.integrity.accumulate(
@@ -269,13 +280,12 @@ CdmaEngine::planFromRatio(const std::string &label, uint64_t raw_bytes,
                 plan.offload.retry_stall_seconds +
                 plan.prefetch.retry_stall_seconds;
         } else {
-            const OffloadScheduler scheduler(*this);
-            plan.offload =
-                scheduler.modelFromRatio(raw_bytes, plan.ratio);
-            plan.seconds = plan.offload.overlapped_seconds;
-            plan.prefetch = PrefetchScheduler(*this).modelFromRatio(
-                raw_bytes, plan.ratio);
+            const DuplexTiming alone =
+                transfers.closedForm(raw_bytes, plan.ratio);
+            plan.offload = alone.offload;
+            plan.prefetch = alone.prefetch;
         }
+        plan.seconds = plan.offload.overlapped_seconds;
         // Same Full-duplex shortcut as planTransfer: independent
         // directions need no contended replay.
         if (config_.transfer.duplex_mode == DuplexMode::Full) {
@@ -285,7 +295,7 @@ CdmaEngine::planFromRatio(const std::string &label, uint64_t raw_bytes,
                 std::max(plan.offload.overlapped_seconds,
                          plan.prefetch.overlapped_seconds);
         } else {
-            plan.duplex = TransferEngine(*this).modelFromRatio(
+            plan.duplex = transfers.modelFromRatio(
                 raw_bytes, plan.ratio, raw_bytes, plan.ratio);
         }
     } else {

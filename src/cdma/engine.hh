@@ -186,8 +186,8 @@ struct PrefetchTiming {
 /**
  * Finalize @p timing's overlap fraction in [0,1]: the share of the
  * hideable (shorter) leg actually hidden. One shared rule — the 1e-9
- * pins between the schedulers' closed forms and the duplex DES depend
- * on every model finalizing identically.
+ * pins between the closed form and the duplex DES depend on every
+ * model finalizing identically.
  */
 inline void
 finalizeOverlapFraction(OffloadTiming &timing)
@@ -332,10 +332,9 @@ struct TransferConfig {
     /**
      * Optional link fault process (non-owning; the caller keeps the
      * injector alive for the engine's lifetime). When set, the arena
-     * transfer flows sample per-crossing damage from it — detected by
+     * transfer flow samples per-crossing damage from it — detected by
      * the CRC-32C shard framing and repaired by RetryPolicy — and the
-     * buffer flows and analytic models price the same process in
-     * expectation. nullptr = a perfect link (the historical behavior).
+     * transfer plans price the same process in expectation. nullptr = a perfect link (the historical behavior).
      * Applied to every edge of the configured topology.
      */
     sim::FaultInjector *fault_injector = nullptr;
@@ -407,47 +406,6 @@ struct CdmaConfig {
  */
 void recordIntegrity(obs::MetricsRegistry &metrics,
                      const TransferIntegrity &integrity);
-
-/**
- * The pre-topology flat configuration layout, kept for one release so
- * existing initializer-heavy call sites keep compiling while they
- * migrate to the nested CdmaConfig sub-structs. Converts implicitly.
- */
-struct [[deprecated("use CdmaConfig's nested sub-structs")]]
-FlatCdmaConfig {
-    GpuSpec gpu;
-    Algorithm algorithm = Algorithm::Zvc;
-    uint64_t window_bytes = 4096;
-    bool compression_enabled = true;
-    unsigned compression_lanes = 1;
-    TimingMode timing_mode = TimingMode::CompressionFree;
-    uint64_t shard_bytes = 0;
-    unsigned staging_buffers = 2;
-    const KernelOps *kernels = nullptr;
-    DuplexMode duplex_mode = DuplexMode::Full;
-    LinkArbiter link_arbiter = LinkArbiter::RoundRobin;
-    sim::FaultInjector *fault_injector = nullptr;
-    RetryPolicy retry;
-
-    operator CdmaConfig() const
-    {
-        CdmaConfig config;
-        config.gpu = gpu;
-        config.compression.algorithm = algorithm;
-        config.compression.window_bytes = window_bytes;
-        config.compression.enabled = compression_enabled;
-        config.compression.lanes = compression_lanes;
-        config.compression.kernels = kernels;
-        config.transfer.timing_mode = timing_mode;
-        config.transfer.shard_bytes = shard_bytes;
-        config.transfer.staging_buffers = staging_buffers;
-        config.transfer.duplex_mode = duplex_mode;
-        config.transfer.link_arbiter = link_arbiter;
-        config.transfer.fault_injector = fault_injector;
-        config.transfer.retry = retry;
-        return config;
-    }
-};
 
 /** Outcome of planning one activation-map transfer. */
 struct TransferPlan {

@@ -99,7 +99,7 @@ class SpillArena
     /**
      * Convenience: spill an already-stitched buffer, cut into shards of
      * @p windows_per_shard windows (the streaming path is
-     * OffloadScheduler::offloadInto, which skips the stitched copy).
+     * TransferEngine::offloadInto, which skips the stitched copy).
      */
     SpillTicket store(const CompressedBuffer &buffer,
                       uint64_t windows_per_shard);
@@ -124,8 +124,8 @@ class SpillArena
 
     /**
      * Stitch the spilled shards back into a standalone CompressedBuffer
-     * (copies; tests and interop — the prefetch path decompresses the
-     * shard views in place instead).
+     * (copies) — the stitched view of a spill, for tests and interop;
+     * the prefetch path decompresses the shard views in place instead.
      */
     CompressedBuffer materialize(SpillTicket ticket) const;
 

@@ -11,7 +11,6 @@
 #include "compress/kernels/kernels.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
 
@@ -108,6 +107,29 @@ traceRejectedCrossing(obs::TraceRecorder *trace, const char *flow,
                    obs::TraceArgs{{"shard", shard}, {"attempt", attempt}});
 }
 
+/**
+ * Makespan of one double-buffered two-stage pipeline: @p n uniform
+ * shards of stage seconds @p s1 / @p s2, then a trailing partial shard
+ * of @p t1 / @p t2 (both zero without a tail). When stage two is the
+ * slower one it never starves after the first fill — the tail's stage
+ * one hides under the previous shard's stage two, since t1 <= s1 <= s2.
+ * Otherwise stage one paces the pipeline and the tail's stage two waits
+ * for whichever of its own stage one or the previous shard's stage two
+ * ends last.
+ */
+double
+twoStageMakespan(double n, double s1, double s2, double t1, double t2,
+                 unsigned staging_buffers)
+{
+    if (staging_buffers == 1)
+        return (n * s1 + t1) + (n * s2 + t2); // fully serialized
+    if (n == 0.0)
+        return t1 + t2; // tail only: one shard, nothing to overlap
+    if (s2 >= s1)
+        return s1 + n * s2 + t2;
+    return n * s1 + std::max(t1, s2) + t2;
+}
+
 /** Spill-completion hook of the arena flows: a plain SpillArena has no
  *  notion of completion; a tiered one seals the spill, making it
  *  eligible for eviction to its backing tier. */
@@ -135,60 +157,6 @@ TransferEngine::TransferEngine(const CdmaEngine &engine)
                                                config.compression.window_bytes);
     CDMA_ASSERT(config.transfer.staging_buffers >= 1,
                 "the transfer pipelines need at least one staging buffer");
-}
-
-OffloadResult
-TransferEngine::offload(std::span<const uint8_t> data,
-                        std::optional<Codec> codec_override) const
-{
-    const CdmaConfig &config = engine_.config();
-    const ParallelCompressor &compressor = codec_override
-        ? engine_.compressorFor(*codec_override)
-        : engine_.compressor();
-    OffloadResult result;
-    result.buffer.original_bytes = data.size();
-    result.buffer.window_bytes = config.compression.window_bytes;
-    result.buffer.codec = compressor.codecTag();
-
-    const uint64_t windows = ceilDiv(data.size(), config.compression.window_bytes);
-    result.buffer.window_sizes.reserve(windows);
-    result.shards.reserve(ceilDiv(windows, shard_windows_));
-    // Whole-buffer worst case reserved once, so the per-shard payload
-    // appends below never reallocate (mirrors Compressor::compress).
-    if (windows > 0) {
-        const Compressor &codec = compressor.serial();
-        result.buffer.payload.reserve(
-            (windows - 1) * codec.compressedBound(config.compression.window_bytes) +
-            codec.compressedBound(data.size() -
-                                  (windows - 1) * config.compression.window_bytes));
-    }
-
-    // The consumer is the staging drain: it runs on this thread in shard
-    // order while the lanes compress later shards, appending each shard's
-    // payload to the stitched buffer and recording its wire size for the
-    // pipeline model.
-    compressor.compressShards(
-        data, shard_windows_, [&](CompressedShard &&shard) {
-            result.shards.push_back(
-                {shard.raw_bytes,
-                 shard.effectiveBytes(config.compression.window_bytes)});
-            result.buffer.payload.insert(result.buffer.payload.end(),
-                                         shard.payload.begin(),
-                                         shard.payload.end());
-            result.buffer.window_sizes.insert(
-                result.buffer.window_sizes.end(),
-                shard.window_sizes.begin(), shard.window_sizes.end());
-        });
-
-    // The stitched buffer carries no per-shard CRC framing, so a
-    // configured fault process is priced in expectation here; the
-    // arena flow (offloadInto) samples it crossing by crossing.
-    applyExpectedFaults(result.shards);
-    result.integrity = trainIntegrity(result.shards);
-    result.timing = timingFor(result.shards, {}).offload;
-    result.integrity.retry_stall_seconds =
-        result.timing.retry_stall_seconds;
-    return result;
 }
 
 namespace {
@@ -220,14 +188,14 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
         ceilDiv(ceilDiv(data.size(), config.compression.window_bytes),
                 shard_windows));
 
-    // Same drain as offload(), but each shard lands in a recycled arena
-    // slot instead of growing a stitched payload vector. The drain is
-    // also where the shard crosses the wire, so the fault process (if
-    // any) is sampled here, crossing by crossing: a damaged crossing is
-    // caught by the length/CRC framing checks and re-sent, degrading to
-    // raw framing and finally giving up per the RetryPolicy. The drain
-    // runs serially on this thread in shard order, which keeps the
-    // injector's draw sequence deterministic.
+    // The consumer is the staging drain: each shard lands in a recycled
+    // arena slot. The drain is also where the shard crosses the wire, so
+    // the fault process (if any) is sampled here, crossing by crossing:
+    // a damaged crossing is caught by the length/CRC framing checks and
+    // re-sent, degrading to raw framing and finally giving up per the
+    // RetryPolicy. The drain runs serially on this thread in shard order
+    // while the lanes compress later shards, which keeps the injector's
+    // draw sequence deterministic.
     Status fault_error;
     compressor.compressShards(
         data, shard_windows, [&](CompressedShard &&shard) {
@@ -305,37 +273,6 @@ TransferEngine::offloadInto(std::span<const uint8_t> data,
     return offloadIntoArena(*this, data, arena, codec);
 }
 
-StatusOr<PrefetchResult>
-TransferEngine::prefetch(const CompressedBuffer &buffer) const
-{
-    PrefetchResult result;
-    result.data.resize(buffer.original_bytes);
-    result.shards.reserve(ceilDiv(buffer.window_sizes.size(),
-                                  shard_windows_));
-
-    // The consumer is the expand drain: notifications arrive on this
-    // thread in shard order while the lanes reconstruct later shards,
-    // recording each shard's byte counts for the pipeline model (the
-    // raw bytes themselves land directly in the output region). The
-    // buffer's codec tag picks the decoder, so an adaptive peer's
-    // choice round-trips (Fixed engines have no bank and keep their
-    // single configured codec).
-    const Status status = engine_.compressorFor(buffer.codec).decompressShards(
-        buffer, shard_windows_, result.data.data(),
-        [&](const ParallelCompressor::DecompressedShard &shard) {
-            result.shards.push_back({shard.raw_bytes, shard.wire_bytes});
-        });
-    if (!status.ok())
-        return status;
-
-    applyExpectedFaults(result.shards);
-    result.integrity = trainIntegrity(result.shards);
-    result.timing = timingFor({}, result.shards).prefetch;
-    result.integrity.retry_stall_seconds =
-        result.timing.retry_stall_seconds;
-    return result;
-}
-
 namespace {
 
 /**
@@ -360,10 +297,10 @@ prefetchFromArena(const TransferEngine &te, const Arena &arena,
     result.data.resize(original_bytes);
     result.shards.reserve(arena.shardCount(ticket));
 
-    // Shards expand in store order straight out of the arena slots —
-    // no stitched payload copy. The drain is serial here: the arena
-    // path models the steady-state training loop, where the prefetch
-    // engine walks one spilled layer at a time.
+    // Shards expand in store order straight out of the arena slots. The
+    // drain is serial here: the arena path models the steady-state
+    // training loop, where the prefetch engine walks one spilled layer
+    // at a time.
     for (size_t s = 0; s < arena.shardCount(ticket); ++s) {
         const SpillShardView view = arena.shard(ticket, s);
         ShardTransfer xfer;
@@ -466,37 +403,10 @@ TransferEngine::prefetch(TieredSpillArena &arena, SpillTicket ticket) const
     return prefetchFromArena(*this, arena, ticket);
 }
 
-StatusOr<TransferEngine::DuplexResult>
-TransferEngine::transfer(std::span<const uint8_t> offload_data,
-                         SpillArena &arena,
-                         SpillTicket prefetch_ticket) const
-{
-    StatusOr<SpilledOffload> offloaded =
-        offloadInto(offload_data, arena);
-    if (!offloaded.ok())
-        return offloaded.status();
-    StatusOr<PrefetchResult> prefetched =
-        prefetch(arena, prefetch_ticket);
-    if (!prefetched.ok())
-        return prefetched.status();
-
-    DuplexResult result;
-    result.offload = std::move(offloaded.value());
-    result.prefetch = std::move(prefetched.value());
-    // Re-time both measured shard trains as one race on the shared
-    // link: the per-direction breakdowns pick up any contention the
-    // independent flows above could not see.
-    result.timing = timingFor(result.offload.shards,
-                              result.prefetch.shards);
-    result.offload.timing = result.timing.offload;
-    result.prefetch.timing = result.timing.prefetch;
-    return result;
-}
-
 DuplexTiming
-TransferEngine::timingFor(std::span<const ShardTransfer> offload_shards,
-                          std::span<const ShardTransfer> prefetch_shards)
-    const
+TransferEngine::duplexTiming(
+    std::span<const ShardTransfer> offload_shards,
+    std::span<const ShardTransfer> prefetch_shards) const
 {
     const CdmaConfig &config = engine_.config();
     PipelineSpec spec;
@@ -538,14 +448,6 @@ TransferEngine::timingFor(std::span<const ShardTransfer> offload_shards,
     pipeline.start();
     queue.run();
     return pipeline.collect();
-}
-
-DuplexTiming
-TransferEngine::duplexTiming(
-    std::span<const ShardTransfer> offload_shards,
-    std::span<const ShardTransfer> prefetch_shards) const
-{
-    return timingFor(offload_shards, prefetch_shards);
 }
 
 std::vector<ShardTransfer>
@@ -621,8 +523,56 @@ TransferEngine::modelFromRatio(uint64_t offload_raw, double offload_ratio,
                                uint64_t prefetch_raw,
                                double prefetch_ratio) const
 {
-    return timingFor(shardTrain(offload_raw, offload_ratio),
-                     shardTrain(prefetch_raw, prefetch_ratio));
+    return duplexTiming(shardTrain(offload_raw, offload_ratio),
+                        shardTrain(prefetch_raw, prefetch_ratio));
+}
+
+DuplexTiming
+TransferEngine::closedForm(uint64_t raw_bytes, double ratio) const
+{
+    CDMA_ASSERT(ratio >= 1.0, "ratio %f below store-raw floor", ratio);
+    const CdmaConfig &config = engine_.config();
+    const uint64_t shard_raw =
+        shard_windows_ * config.compression.window_bytes;
+    const auto engine_seconds = [&](uint64_t raw) {
+        return static_cast<double>(raw) / config.gpu.comp_bandwidth;
+    };
+    // Per-shard wire bytes are store-raw-floored by truncation exactly
+    // as uniformShardTrain() cuts the train the DES replays.
+    const auto wire_seconds = [&](uint64_t raw) {
+        return static_cast<double>(static_cast<uint64_t>(
+                   static_cast<double>(raw) / ratio)) /
+            config.gpu.pcie_effective_bandwidth;
+    };
+    const uint64_t full = raw_bytes / shard_raw;
+    const uint64_t tail_raw = raw_bytes % shard_raw;
+    const double n = static_cast<double>(full);
+    const double e = engine_seconds(shard_raw);
+    const double w = wire_seconds(shard_raw);
+    const double tail_e = engine_seconds(tail_raw);
+    const double tail_w = wire_seconds(tail_raw);
+    const unsigned buffers = config.transfer.staging_buffers;
+
+    DuplexTiming timing;
+    OffloadTiming &off = timing.offload;
+    off.shard_count = full + (tail_raw != 0 ? 1 : 0);
+    off.compress_seconds = n * e + tail_e;
+    off.wire_seconds = n * w + tail_w;
+    off.overlapped_seconds =
+        twoStageMakespan(n, e, w, tail_e, tail_w, buffers);
+    finalizeOverlapFraction(off);
+
+    PrefetchTiming &pre = timing.prefetch;
+    pre.shard_count = off.shard_count;
+    pre.wire_seconds = off.wire_seconds;
+    pre.decompress_seconds = off.compress_seconds;
+    pre.overlapped_seconds =
+        twoStageMakespan(n, w, e, tail_w, tail_e, buffers);
+    finalizeOverlapFraction(pre);
+
+    timing.makespan_seconds =
+        std::max(off.overlapped_seconds, pre.overlapped_seconds);
+    return timing;
 }
 
 DuplexTiming
@@ -907,202 +857,6 @@ DuplexPipeline::collect() const
     timing.offload_contention_seconds = off_contention_;
     timing.prefetch_contention_seconds = pre_contention_;
     return timing;
-}
-
-// ---------------------------------------------------------------------
-// Single-direction scheduler facades (historically their own .cc files).
-// ---------------------------------------------------------------------
-
-OffloadScheduler::OffloadScheduler(const CdmaEngine &engine)
-    : engine_(engine)
-{
-}
-
-OffloadResult
-OffloadScheduler::offload(std::span<const uint8_t> data) const
-{
-    return engine_.offload(data);
-}
-
-StatusOr<SpilledOffload>
-OffloadScheduler::offloadInto(std::span<const uint8_t> data,
-                              SpillArena &arena) const
-{
-    return engine_.offloadInto(data, arena);
-}
-
-OffloadTiming
-OffloadScheduler::modelFromRatio(uint64_t raw_bytes, double ratio) const
-{
-    CDMA_ASSERT(ratio >= 1.0, "ratio %f below store-raw floor", ratio);
-    const CdmaConfig &config = engine_.cdma().config();
-    const double comp_bw = config.gpu.comp_bandwidth;
-    const double wire_bw = config.gpu.pcie_effective_bandwidth;
-    const unsigned buffers = config.transfer.staging_buffers;
-    const uint64_t shard_raw =
-        shardWindows() * config.compression.window_bytes;
-
-    OffloadTiming timing;
-    if (raw_bytes == 0)
-        return timing;
-
-    // Closed form over the shard shape the DES would replay: `full`
-    // uniform shards of shard_raw bytes plus at most one partial tail.
-    // The per-shard wire bytes reproduce the DES arithmetic exactly
-    // (store-raw-floored truncation per shard).
-    const uint64_t full = raw_bytes / shard_raw;
-    const uint64_t tail_raw = raw_bytes % shard_raw;
-    timing.shard_count = full + (tail_raw != 0 ? 1 : 0);
-
-    const double c = static_cast<double>(shard_raw) / comp_bw;
-    const double w = static_cast<double>(static_cast<uint64_t>(
-                         static_cast<double>(shard_raw) / ratio)) /
-        wire_bw;
-    const double tail_c = static_cast<double>(tail_raw) / comp_bw;
-    const double tail_w = static_cast<double>(static_cast<uint64_t>(
-                              static_cast<double>(tail_raw) / ratio)) /
-        wire_bw;
-
-    const double n = static_cast<double>(full);
-    timing.compress_seconds = n * c + tail_c;
-    timing.wire_seconds = n * w + tail_w;
-
-    if (buffers == 1) {
-        // A single staging buffer serializes every shard end to end.
-        timing.overlapped_seconds =
-            timing.compress_seconds + timing.wire_seconds;
-    } else if (full == 0) {
-        // Tail-only transfer: one shard, nothing to overlap with.
-        timing.overlapped_seconds = tail_c + tail_w;
-    } else if (w >= c) {
-        // Wire-bound: one compression fill, then the wire never starves
-        // (the tail's compression hides under the previous shard's wire
-        // time because tail_c <= c <= w).
-        timing.overlapped_seconds = c + n * w + tail_w;
-    } else {
-        // Compression-bound (fetch-capped): the serial compression
-        // engine paces the pipeline; the tail's wire leg waits for
-        // whichever of its own compression or the previous shard's
-        // drain finishes last.
-        timing.overlapped_seconds =
-            n * c + std::max(tail_c, w) + tail_w;
-    }
-    finalizeOverlapFraction(timing);
-    return timing;
-}
-
-OffloadTiming
-OffloadScheduler::pipelineTiming(std::span<const ShardTransfer> shards,
-                                 double compress_bandwidth,
-                                 double wire_bandwidth,
-                                 unsigned staging_buffers)
-{
-    // The duplex DES with the prefetch direction idle: the shared link
-    // degenerates to a single-direction FIFO, reproducing the original
-    // offload-only event timeline exactly.
-    return TransferEngine::pipelineTiming(
-               shards, {}, compress_bandwidth, wire_bandwidth,
-               /*decompress_bandwidth=*/compress_bandwidth,
-               staging_buffers, DuplexMode::Half,
-               LinkArbiter::RoundRobin)
-        .offload;
-}
-
-PrefetchScheduler::PrefetchScheduler(const CdmaEngine &engine)
-    : engine_(engine)
-{
-}
-
-StatusOr<PrefetchResult>
-PrefetchScheduler::prefetch(const CompressedBuffer &buffer) const
-{
-    return engine_.prefetch(buffer);
-}
-
-StatusOr<PrefetchResult>
-PrefetchScheduler::prefetch(const SpillArena &arena,
-                            SpillTicket ticket) const
-{
-    return engine_.prefetch(arena, ticket);
-}
-
-PrefetchTiming
-PrefetchScheduler::modelFromRatio(uint64_t raw_bytes, double ratio) const
-{
-    CDMA_ASSERT(ratio >= 1.0, "ratio %f below store-raw floor", ratio);
-    const CdmaConfig &config = engine_.cdma().config();
-    const double wire_bw = config.gpu.pcie_effective_bandwidth;
-    const double decomp_bw = config.gpu.comp_bandwidth;
-    const unsigned buffers = config.transfer.staging_buffers;
-    const uint64_t shard_raw =
-        shardWindows() * config.compression.window_bytes;
-
-    PrefetchTiming timing;
-    if (raw_bytes == 0)
-        return timing;
-
-    // Closed form over the shard shape the DES would replay: `full`
-    // uniform shards of shard_raw bytes plus at most one partial tail,
-    // with the per-shard wire bytes reproducing the DES arithmetic
-    // exactly (store-raw-floored truncation per shard). Stage one is
-    // the wire, stage two the serial decompression engine — the
-    // offload closed form with the roles swapped.
-    const uint64_t full = raw_bytes / shard_raw;
-    const uint64_t tail_raw = raw_bytes % shard_raw;
-    timing.shard_count = full + (tail_raw != 0 ? 1 : 0);
-
-    const double d = static_cast<double>(shard_raw) / decomp_bw;
-    const double w = static_cast<double>(static_cast<uint64_t>(
-                         static_cast<double>(shard_raw) / ratio)) /
-        wire_bw;
-    const double tail_d = static_cast<double>(tail_raw) / decomp_bw;
-    const double tail_w = static_cast<double>(static_cast<uint64_t>(
-                              static_cast<double>(tail_raw) / ratio)) /
-        wire_bw;
-
-    const double n = static_cast<double>(full);
-    timing.wire_seconds = n * w + tail_w;
-    timing.decompress_seconds = n * d + tail_d;
-
-    if (buffers == 1) {
-        // A single staging buffer serializes every shard end to end.
-        timing.overlapped_seconds =
-            timing.wire_seconds + timing.decompress_seconds;
-    } else if (full == 0) {
-        // Tail-only transfer: one shard, nothing to overlap with.
-        timing.overlapped_seconds = tail_w + tail_d;
-    } else if (d >= w) {
-        // Decompression-bound (fetch-capped layers land here: high
-        // ratios make the wire leg short): one wire fill, then the
-        // serial decompression engine never starves (the tail's wire
-        // time hides under the previous shard's expansion because
-        // tail_w <= w <= d).
-        timing.overlapped_seconds = w + n * d + tail_d;
-    } else {
-        // Wire-bound: the FIFO link paces the pipeline; the tail's
-        // expansion waits for whichever of its own wire transfer or
-        // the previous shard's expansion finishes last.
-        timing.overlapped_seconds =
-            n * w + std::max(tail_w, d) + tail_d;
-    }
-    finalizeOverlapFraction(timing);
-    return timing;
-}
-
-PrefetchTiming
-PrefetchScheduler::pipelineTiming(std::span<const ShardTransfer> shards,
-                                  double wire_bandwidth,
-                                  double decompress_bandwidth,
-                                  unsigned staging_buffers)
-{
-    // The duplex DES with the offload direction idle: the shared link
-    // degenerates to a single-direction FIFO, reproducing the original
-    // prefetch-only event timeline exactly.
-    return TransferEngine::pipelineTiming(
-               {}, shards, /*compress_bandwidth=*/decompress_bandwidth,
-               wire_bandwidth, decompress_bandwidth, staging_buffers,
-               DuplexMode::Half, LinkArbiter::RoundRobin)
-        .prefetch;
 }
 
 } // namespace cdma

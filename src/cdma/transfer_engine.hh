@@ -4,12 +4,12 @@
  * directions of the PCIe link, the way the paper's Figure 2(b) overlaps
  * the offload of layer n+1's input with the prefetch of layer n-1's and
  * the Figure 13 speedups assume the cDMA unit services both
- * concurrently. The engine owns one sim::EventQueue and one duplex
- * sim::Channel and runs BOTH double-buffered pipelines on it:
+ * concurrently. The engine runs BOTH double-buffered pipelines on one
+ * event queue:
  *
  *   offload:  serial compression engine (COMP_BW) -> staging buffer ->
- *             wire out (DuplexChannel Direction::Out)
- *   prefetch: wire in (Direction::In) -> staging buffer ->
+ *             wire out
+ *   prefetch: wire in -> staging buffer ->
  *             serial decompression engine (COMP_BW)
  *
  * The compression and decompression engines are provisioned separately
@@ -17,15 +17,16 @@
  * with each other — only the wire is shared, and only under
  * DuplexMode::Half, where the link arbiter (round-robin or fixed
  * priority) picks which pending direction's shard crosses next. With
- * the opposing direction idle the duplex DES degenerates exactly to the
- * single-direction pipelines that OffloadScheduler / PrefetchScheduler
- * model (their closed forms are pinned against it at 1e-9), so the two
- * direction schedulers are now thin facades over this engine, defined
- * at the bottom of this header — the one header to include for
- * transfer planning.
+ * the opposing direction idle the duplex DES degenerates to one
+ * two-stage pipeline, whose allocation-free closed form
+ * (TransferEngine::closedForm) is pinned against it at 1e-9.
  *
- * Since the topology redesign the wire legs ride a Route through a
- * sim Topology graph instead of one hardwired DuplexChannel: the
+ * Real bytes travel one flow: offloadInto() streams compressed shards
+ * into a SpillArena and prefetch(arena, ticket) expands them back out;
+ * SpillArena::materialize() is the stitched CompressedBuffer view of a
+ * spill.
+ *
+ * The wire legs ride a Route through a sim Topology graph: the
  * default configuration routes over the degenerate two-node GPU—host
  * graph (identical event timeline, pins unmoved), and a configured
  * TopologyConfig routes them across switches and shared uplinks. The
@@ -64,19 +65,7 @@ struct ShardTransfer {
     bool degraded = false;
 };
 
-/** Outcome of one scheduled offload: data and modeled timing. */
-struct OffloadResult {
-    /** Compressed buffer, byte-identical to ParallelCompressor::compress. */
-    CompressedBuffer buffer;
-    /** Pipeline timing over the real per-shard compressed sizes. */
-    OffloadTiming timing;
-    /** Per-shard byte counts, in drain order. */
-    std::vector<ShardTransfer> shards;
-    /** Fault/retry accounting (expectation-priced on this flow). */
-    TransferIntegrity integrity;
-};
-
-/** Outcome of an offload spilled into an arena instead of a buffer. */
+/** Outcome of one offload spilled into an arena. */
 struct SpilledOffload {
     /** Arena reference to the stored shards (caller releases it). */
     SpillTicket ticket = 0;
@@ -84,7 +73,7 @@ struct SpilledOffload {
     OffloadTiming timing;
     /** Per-shard byte counts, in drain order. */
     std::vector<ShardTransfer> shards;
-    /** Fault/retry accounting (sampled per crossing on this flow). */
+    /** Fault/retry accounting (sampled per crossing). */
     TransferIntegrity integrity;
 };
 
@@ -96,8 +85,7 @@ struct PrefetchResult {
     PrefetchTiming timing;
     /** Per-shard byte counts, in arrival order. */
     std::vector<ShardTransfer> shards;
-    /** Fault/retry accounting (sampled on the arena flow,
-     *  expectation-priced on the buffer flow). */
+    /** Fault/retry accounting (sampled per crossing). */
     TransferIntegrity integrity;
 };
 
@@ -231,21 +219,7 @@ class TransferEngine
     /** The cDMA engine this transfer engine drives. */
     const CdmaEngine &cdma() const { return engine_; }
 
-    // ---- Real-bytes flows (the direction schedulers delegate here) ----
-
-    /**
-     * Offload @p data: compress it shard-by-shard on the engine's lanes,
-     * stitch the shards into a CompressedBuffer as they drain (in shard
-     * order, while later shards are still compressing), and model the
-     * double-buffered pipeline over the measured per-shard sizes.
-     *
-     * @p codec overrides the engine's fixed codec for this transfer
-     * (the adaptive policy's choice — requires the engine's codec bank
-     * when it differs from the fixed codec); nullopt = the engine's
-     * configured compressor, the historical behavior.
-     */
-    OffloadResult offload(std::span<const uint8_t> data,
-                          std::optional<Codec> codec = std::nullopt) const;
+    // ---- The real-bytes flow ----
 
     /**
      * Offload @p data into @p arena: shards stream from the compression
@@ -261,9 +235,12 @@ class TransferEngine
      * failures). Returns Status::retryExhausted — with the partially
      * filled ticket released — when a shard burns every attempt.
      *
-     * @p codec as in offload(): per-transfer override of the engine's
-     * fixed codec. Every stored shard carries its codec tag, so spills
-     * written with different overrides decode correctly side by side.
+     * @p codec overrides the engine's fixed codec for this transfer
+     * (the adaptive policy's choice — requires the engine's codec bank
+     * when it differs from the fixed codec); nullopt = the engine's
+     * configured compressor. Every stored shard carries its codec tag,
+     * so spills written with different overrides decode correctly side
+     * by side.
      */
     StatusOr<SpilledOffload>
     offloadInto(std::span<const uint8_t> data, SpillArena &arena,
@@ -280,20 +257,9 @@ class TransferEngine
                 std::optional<Codec> codec = std::nullopt) const;
 
     /**
-     * Prefetch @p buffer: reconstruct it shard-by-shard on the engine's
-     * lanes (consumed in deterministic shard order) and model the
-     * double-buffered pipeline over the measured per-shard sizes.
-     * Decode errors (a corrupt or truncated payload) propagate as a
-     * non-OK Status instead of crashing. The stitched buffer carries no
-     * per-shard CRC framing, so a configured fault injector is priced
-     * in expectation on this flow rather than sampled.
-     */
-    StatusOr<PrefetchResult> prefetch(const CompressedBuffer &buffer) const;
-
-    /**
-     * Prefetch a spilled buffer straight out of @p arena's shard slots
-     * (no stitched CompressedBuffer in between). The ticket stays live;
-     * the caller releases it once the restored bytes are consumed.
+     * Prefetch a spilled buffer straight out of @p arena's shard slots.
+     * The ticket stays live; the caller releases it once the restored
+     * bytes are consumed.
      *
      * Every shard's payload is verified against its stored CRC-32C
      * before expansion (Status::integrityError on mismatch). With a
@@ -313,27 +279,6 @@ class TransferEngine
      */
     StatusOr<PrefetchResult> prefetch(TieredSpillArena &arena,
                                       SpillTicket ticket) const;
-
-    /** Outcome of one full-duplex step: both real flows + the race. */
-    struct DuplexResult {
-        SpilledOffload offload;   ///< @p offload_data spilled to the arena
-        PrefetchResult prefetch;  ///< @p prefetch_ticket restored
-        /** Both measured shard trains raced on the configured link. */
-        DuplexTiming timing;
-    };
-
-    /**
-     * One steady-state training-loop step on the unified ticket flow:
-     * compress and spill @p offload_data into @p arena while prefetching
-     * (and expanding) @p prefetch_ticket out of it, with both measured
-     * shard trains racing on the configured duplex link. The caller
-     * releases the prefetched ticket once the restored bytes are
-     * consumed. Fault handling follows the two underlying flows; the
-     * first leg to exhaust its retries surfaces its Status.
-     */
-    StatusOr<DuplexResult> transfer(std::span<const uint8_t> offload_data,
-                                    SpillArena &arena,
-                                    SpillTicket prefetch_ticket) const;
 
     // ---- Timing models ----
 
@@ -357,14 +302,33 @@ class TransferEngine
                                 double prefetch_ratio) const;
 
     /**
+     * Allocation-free closed form of both pipelines for a fault-free
+     * transfer of @p raw_bytes at @p ratio, each direction with the
+     * opposing one idle (so makespan_seconds is the Full-duplex race and
+     * the contention fields stay zero). Both directions are the same
+     * two-stage pipeline over uniform staging shards plus a trailing
+     * partial, with the stages swapped: (compress, wire) for the
+     * offload, (wire, expand) for the prefetch. For n uniform shards of
+     * stage times s1/s2 and a tail of t1/t2:
+     *
+     *   s2 >= s1:  s1 + n*s2 + t2
+     *   s1 >  s2:  n*s1 + max(t1, s2) + t2
+     *
+     * a tail-only transfer takes t1 + t2, and one staging buffer
+     * serializes the stage sums. pipelineTiming() is the pinned DES
+     * reference; stage bandwidths come from the GpuSpec.
+     */
+    DuplexTiming closedForm(uint64_t raw_bytes, double ratio) const;
+
+    /**
      * The core duplex DES: both double-buffered pipelines run on one
-     * event queue, wire transfers of both directions submitted to a
-     * DuplexChannel. Offload shard k's compression starts when the
-     * serial compression engine AND an offload staging buffer are free;
-     * its wire leg queues on Direction::Out. Prefetch shard k's wire
-     * leg (Direction::In) starts when a prefetch staging buffer is
-     * free; its expansion queues on the serial decompression engine.
-     * Under DuplexMode::Half both directions serialize on the link and
+     * event queue, wire transfers of both directions routed over the
+     * two-node GPU—host link. Offload shard k's compression starts when
+     * the serial compression engine AND an offload staging buffer are
+     * free; its wire leg then queues outbound. Prefetch shard k's
+     * inbound wire leg starts when a prefetch staging buffer is free;
+     * its expansion queues on the serial decompression engine. Under
+     * DuplexMode::Half both directions serialize on the link and
      * @p arbiter breaks ties; under Full they never interact. The
      * per-direction staging pools are independent (@p staging_buffers
      * each).
@@ -374,8 +338,8 @@ class TransferEngine
      * exponential backoff @p backoff_base_seconds * (2^(attempts-1) - 1)
      * as extra latency — the retry sequence holds the shard's DMA
      * transaction slot until it lands. Shards with attempts == 1 price
-     * exactly as before, which keeps the schedulers' closed forms
-     * pinned to this DES on fault-free trains.
+     * exactly as before, which keeps closedForm() pinned to this DES
+     * on fault-free trains.
      */
     static DuplexTiming pipelineTiming(
         std::span<const ShardTransfer> offload_shards,
@@ -407,8 +371,8 @@ class TransferEngine
      * Fold the configured fault process into @p shards analytically:
      * each shard's attempts / failed_wire_bytes become the expectation
      * under the injector's per-crossing failure probability and the
-     * engine's RetryPolicy. No RNG draws — the sampled streams of the
-     * arena flows are untouched. No-op without an injector.
+     * engine's RetryPolicy. No RNG draws — the sampled stream of the
+     * arena flow is untouched. No-op without an injector.
      */
     void applyExpectedFaults(std::vector<ShardTransfer> &shards) const;
 
@@ -417,118 +381,8 @@ class TransferEngine
         std::span<const ShardTransfer> shards);
 
   private:
-    DuplexTiming timingFor(std::span<const ShardTransfer> offload_shards,
-                           std::span<const ShardTransfer> prefetch_shards)
-        const;
-
     const CdmaEngine &engine_;
     uint64_t shard_windows_;
-};
-
-// ---------------------------------------------------------------------
-// Single-direction facades. Historically src/cdma/offload_scheduler.hh
-// and prefetch_scheduler.hh; folded in here so transfer planning is one
-// include. Each is the duplex TransferEngine viewed with the opposing
-// direction idle, plus the allocation-free closed form of its pipeline
-// (pinned against the duplex DES at 1e-9 by the scheduler tests).
-// ---------------------------------------------------------------------
-
-/**
- * Drives compression and models the double-buffered compress/transfer
- * pipeline for one cDMA engine (the offload-only view of the duplex
- * TransferEngine). For uniform shards (compression time c, wire time
- * w, n shards) the double-buffered makespan is n*max(c,w) + min(c,w);
- * modelFromRatio() extends that with the trailing-partial-shard and
- * single-staging-buffer cases.
- */
-class OffloadScheduler
-{
-  public:
-    explicit OffloadScheduler(const CdmaEngine &engine);
-
-    /** Windows per staging shard (>= 1), from TransferConfig::shard_bytes. */
-    uint64_t shardWindows() const { return engine_.shardWindows(); }
-
-    /** See TransferEngine::offload(). */
-    OffloadResult offload(std::span<const uint8_t> data) const;
-
-    /** See TransferEngine::offloadInto(). */
-    StatusOr<SpilledOffload> offloadInto(std::span<const uint8_t> data,
-                                         SpillArena &arena) const;
-
-    /**
-     * Pipeline timing for a transfer of @p raw_bytes at a known
-     * compression ratio: allocation-free closed form over uniform
-     * staging shards plus a trailing partial. For n uniform shards
-     * (compression time c, wire time w, tail c_t/w_t):
-     *
-     *   wire-bound  (w >= c): c + n*w + w_t
-     *   comp-bound  (c >  w): n*c + max(c_t, w) + w_t
-     *
-     * one staging buffer serializes fully; the duplex DES
-     * (TransferEngine::pipelineTiming) is the pinned reference.
-     */
-    OffloadTiming modelFromRatio(uint64_t raw_bytes, double ratio) const;
-
-    /**
-     * The single-direction pipeline reference: the duplex DES with the
-     * prefetch direction idle, routed over the degenerate two-node
-     * graph. Shard k's compression starts when the compression engine
-     * AND a staging buffer are free; its wire transfer starts when its
-     * compression ends and the channel is free (FIFO).
-     */
-    static OffloadTiming pipelineTiming(std::span<const ShardTransfer> shards,
-                                        double compress_bandwidth,
-                                        double wire_bandwidth,
-                                        unsigned staging_buffers = 2);
-
-  private:
-    TransferEngine engine_;
-};
-
-/**
- * Drives decompression and models the double-buffered transfer/expand
- * pipeline for one cDMA engine (the prefetch-only view of the duplex
- * TransferEngine) — OffloadScheduler's mirror image for the backward
- * pass, with the stages swapped: wire in, then the serial DPE expands
- * while the next shard crosses.
- */
-class PrefetchScheduler
-{
-  public:
-    explicit PrefetchScheduler(const CdmaEngine &engine);
-
-    /** Windows per staging shard (>= 1), from TransferConfig::shard_bytes. */
-    uint64_t shardWindows() const { return engine_.shardWindows(); }
-
-    /** See TransferEngine::prefetch(const CompressedBuffer &). */
-    StatusOr<PrefetchResult> prefetch(const CompressedBuffer &buffer) const;
-
-    /** See TransferEngine::prefetch(const SpillArena &, SpillTicket). */
-    StatusOr<PrefetchResult> prefetch(const SpillArena &arena,
-                                      SpillTicket ticket) const;
-
-    /**
-     * Closed-form prefetch timing of @p raw_bytes at @p ratio —
-     * OffloadScheduler::modelFromRatio with the stages swapped (wire
-     * first, then the serial decompression engine); pinned against the
-     * duplex DES at 1e-9 by the scheduler tests.
-     */
-    PrefetchTiming modelFromRatio(uint64_t raw_bytes, double ratio) const;
-
-    /**
-     * The single-direction pipeline reference: the duplex DES with the
-     * offload direction idle, routed over the degenerate two-node
-     * graph. Shard k's wire transfer starts when the (FIFO) channel
-     * AND a staging buffer are free; its decompression starts when its
-     * last wire byte lands and the serial engine is free.
-     */
-    static PrefetchTiming pipelineTiming(
-        std::span<const ShardTransfer> shards, double wire_bandwidth,
-        double decompress_bandwidth, unsigned staging_buffers = 2);
-
-  private:
-    TransferEngine engine_;
 };
 
 } // namespace cdma

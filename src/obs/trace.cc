@@ -66,7 +66,9 @@ formatValue(const TraceValue &value)
         return buf;
       }
       case TraceValue::Kind::Str:
-        return "\"" + jsonEscape(value.str()) + "\"";
+        // Appended piecewise: GCC 12's -Wrestrict misfires on the
+        // const char* + std::string&& operator+ overload.
+        return std::string(1, '"').append(jsonEscape(value.str())) + '"';
     }
     return "null";
 }
@@ -80,7 +82,10 @@ formatArgs(const TraceArgs &args)
         if (!first)
             out += ",";
         first = false;
-        out += "\"" + jsonEscape(key) + "\":" + formatValue(value);
+        out += '"';
+        out += jsonEscape(key);
+        out += "\":";
+        out += formatValue(value);
     }
     out += "}";
     return out;
@@ -250,7 +255,10 @@ TraceRecorder::toJson() const
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%llu",
                       static_cast<unsigned long long>(value));
-        out += "\"" + jsonEscape(key) + "\":" + buf;
+        out += '"';
+        out += jsonEscape(key);
+        out += "\":";
+        out += buf;
     }
     out += "}}\n";
     return out;

@@ -6,37 +6,6 @@
 
 namespace cdma {
 
-Channel::Channel(EventQueue &queue, std::string name,
-                 double bytes_per_second)
-    : queue_(queue), name_(std::move(name)),
-      bytes_per_second_(bytes_per_second)
-{
-    CDMA_ASSERT(bytes_per_second > 0.0, "channel %s has no bandwidth",
-                name_.c_str());
-}
-
-void
-Channel::submit(uint64_t bytes, Completion on_done, SimTime extra_latency)
-{
-    const SimTime start = std::max(queue_.now(), busy_until_);
-    const SimTime service =
-        static_cast<double>(bytes) / bytes_per_second_ + extra_latency;
-    busy_until_ = start + service;
-    busy_seconds_ += service;
-    total_bytes_ += bytes;
-    if (on_done) {
-        queue_.scheduleAt(busy_until_,
-                          [cb = std::move(on_done)]() { cb(); });
-    }
-}
-
-double
-Channel::utilization() const
-{
-    const SimTime horizon = std::max(queue_.now(), busy_until_);
-    return horizon > 0.0 ? busy_seconds_ / horizon : 0.0;
-}
-
 const char *
 duplexModeName(DuplexMode mode)
 {
@@ -144,9 +113,9 @@ DuplexChannel::submit(Direction direction, uint64_t bytes,
     s.total_bytes += bytes;
 
     if (mode_ == DuplexMode::Full) {
-        // Independent directed sub-channels: each direction is the
-        // plain FIFO Channel at the full link rate, no cross-direction
-        // state at all.
+        // Independent directed sub-channels: each direction is a
+        // plain FIFO at the full link rate, no cross-direction state at
+        // all.
         const SimTime start = std::max(queue_.now(), s.busy_until);
         const SimTime service =
             static_cast<double>(bytes) / bytes_per_second_ +

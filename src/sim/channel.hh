@@ -1,14 +1,12 @@
 /**
  * @file
- * Bandwidth-limited channel models. The plain Channel is a FIFO
- * store-and-forward pipe serviced in order at a fixed byte rate — the
- * abstraction used for the DRAM read stream feeding the cDMA engine and
- * the on-chip crossbar slice. DuplexChannel extends it for the PCIe
- * link: two directed sub-channels (offload out, prefetch in) that are
- * either independent (full duplex, each direction at the full link
+ * The duplex PCIe link model: two directed FIFO sub-channels (offload
+ * out, prefetch in), each serviced in order at a fixed byte rate, that
+ * are either independent (full duplex, each direction at the full link
  * rate) or share one contended link (half duplex) under a
  * round-robin/priority arbiter, with per-transfer accounting of the
  * time a direction waited while the link served the opposing one.
+ * LinkNetwork runs one DuplexChannel per edge of a Topology graph.
  */
 
 #ifndef CDMA_SIM_CHANNEL_HH
@@ -23,54 +21,6 @@
 #include "sim/event_queue.hh"
 
 namespace cdma {
-
-/** FIFO store-and-forward channel with a fixed service bandwidth. */
-class Channel
-{
-  public:
-    using Completion = std::function<void()>;
-
-    /**
-     * @param queue Owning event queue.
-     * @param name Channel name for reporting.
-     * @param bytes_per_second Service bandwidth.
-     */
-    Channel(EventQueue &queue, std::string name, double bytes_per_second);
-
-    /**
-     * Enqueue a transfer of @p bytes; @p on_done fires when the last byte
-     * has been serviced. Transfers are serviced strictly in submission
-     * order. A latency can model fixed per-transfer overhead.
-     */
-    void submit(uint64_t bytes, Completion on_done,
-                SimTime extra_latency = 0.0);
-
-    /** Time at which the channel becomes idle given current queue. */
-    SimTime busyUntil() const { return busy_until_; }
-
-    /** Total bytes ever submitted. */
-    uint64_t totalBytes() const { return total_bytes_; }
-
-    /** Total seconds the channel has been busy. */
-    SimTime busySeconds() const { return busy_seconds_; }
-
-    /** Utilization over [0, now]. */
-    double utilization() const;
-
-    /** Configured bandwidth (bytes/second). */
-    double bandwidth() const { return bytes_per_second_; }
-
-    /** Channel name. */
-    const std::string &name() const { return name_; }
-
-  private:
-    EventQueue &queue_;
-    std::string name_;
-    double bytes_per_second_;
-    SimTime busy_until_ = 0.0;
-    SimTime busy_seconds_ = 0.0;
-    uint64_t total_bytes_ = 0;
-};
 
 /**
  * How the two directed sub-channels of a DuplexChannel share the link.
@@ -107,7 +57,7 @@ const char *linkArbiterName(LinkArbiter arbiter);
  * set by DuplexMode: Full services both concurrently at the full rate,
  * Half serializes every transfer on the shared link with the arbiter
  * choosing between pending directions. With one direction idle, either
- * mode degenerates to the plain Channel's FIFO timeline exactly.
+ * mode degenerates to one FIFO at the full link rate exactly.
  */
 class DuplexChannel
 {

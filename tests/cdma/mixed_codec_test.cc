@@ -114,20 +114,25 @@ TEST(MixedCodec, OffloadOverrideTagsTheBuffer)
     const CdmaEngine engine(adaptiveConfig(policy, 2));
     const TransferEngine transfers(engine);
     const auto input = makeInput(0.4, 1 << 16, 7);
+    SpillArena arena;
     for (const Codec codec : kAllCodecs) {
-        const OffloadResult result = transfers.offload(input, codec);
-        EXPECT_EQ(result.buffer.codec, codec);
+        const SpilledOffload spilled =
+            transfers.offloadInto(input, arena, codec).value();
+        EXPECT_EQ(arena.materialize(spilled.ticket).codec, codec);
+        for (size_t s = 0; s < arena.shardCount(spilled.ticket); ++s)
+            EXPECT_EQ(arena.shard(spilled.ticket, s).codec, codec);
         const StatusOr<PrefetchResult> restored =
-            transfers.prefetch(result.buffer);
+            transfers.prefetch(arena, spilled.ticket);
         ASSERT_TRUE(restored.ok()) << codecName(codec);
         EXPECT_EQ(restored->data, input) << codecName(codec);
+        arena.release(spilled.ticket);
     }
 }
 
 TEST(MixedCodec, FixedEngineRoutesOverridesToItsOneCompressor)
 {
     // Pin the fallback contract: without an adaptive bank the override
-    // resolves to the engine's configured compressor, and the buffer's
+    // resolves to the engine's configured compressor, and the stored
     // tag says what actually ran — never the ignored request.
     CdmaConfig config;
     config.compression.lanes = 2;
@@ -135,10 +140,12 @@ TEST(MixedCodec, FixedEngineRoutesOverridesToItsOneCompressor)
     const CdmaEngine engine(config);
     const TransferEngine transfers(engine);
     const auto input = makeInput(0.4, 1 << 16, 9);
-    const OffloadResult result = transfers.offload(input, Codec::Rle);
-    EXPECT_EQ(result.buffer.codec, Codec::Zvc);
+    SpillArena arena;
+    const SpilledOffload spilled =
+        transfers.offloadInto(input, arena, Codec::Rle).value();
+    EXPECT_EQ(arena.materialize(spilled.ticket).codec, Codec::Zvc);
     const StatusOr<PrefetchResult> restored =
-        transfers.prefetch(result.buffer);
+        transfers.prefetch(arena, spilled.ticket);
     ASSERT_TRUE(restored.ok());
     EXPECT_EQ(restored->data, input);
 }

@@ -2,7 +2,9 @@
  * @file
  * Tests for the compressed spill arena: round-trip identity through
  * store/materialize and through the offloadInto/prefetch streaming
- * path on every codec, slot recycling across simulated iterations
+ * path (byte-identical to ParallelCompressor::compress across lane and
+ * shard shapes, empty and single-window maps, a deterministic event
+ * timeline), slot recycling across simulated iterations
  * (slab allocation must plateau after the first), high-water-mark
  * accounting, and ticket lifecycle.
  */
@@ -76,43 +78,125 @@ TEST(SpillArena, StoreAndMaterializeRoundTripsEveryCodec)
     }
 }
 
-TEST(SpillArena, OffloadIntoMatchesTheStitchedOffload)
+TEST(SpillArena, OffloadIntoMatchesParallelCompress)
 {
-    const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
-    const PrefetchScheduler prefetcher(engine);
-    const auto input = makeInput(0.4, (1 << 20) + 123, 71);
+    // The arena holds exactly ParallelCompressor::compress's bytes
+    // (materialize is the stitched view) whether shards outnumber lanes
+    // or lanes outnumber shards; the prefetch restores the input and
+    // mirrors the offload's shard train, and neither the bytes, the
+    // train nor the modeled timing depend on lane count.
+    struct Shape {
+        unsigned lanes;
+        uint64_t shard_bytes; // 0 = bandwidth-delay default
+        size_t bytes;
+    };
+    const size_t big = (1 << 20) + 123;
+    std::vector<SpilledOffload> spills;
+    for (const Shape shape :
+         {Shape{1, 0, big}, Shape{2, 0, big}, Shape{8, 0, big},
+          Shape{8, 4096, big}, Shape{8, 4096, 3 * 4096}}) {
+        const auto input = makeInput(0.4, shape.bytes, 71);
+        CdmaConfig config;
+        config.compression.lanes = shape.lanes;
+        config.transfer.shard_bytes = shape.shard_bytes;
+        config.transfer.timing_mode = TimingMode::Overlapped;
+        const CdmaEngine engine(config);
+        const TransferEngine transfers(engine);
+        SpillArena arena;
+        const SpilledOffload spilled =
+            transfers.offloadInto(input, arena).value();
+        const CompressedBuffer reference =
+            engine.compressor().compress(input);
+        const CompressedBuffer stitched = arena.materialize(spilled.ticket);
+        EXPECT_EQ(stitched.original_bytes, reference.original_bytes);
+        EXPECT_EQ(stitched.window_sizes, reference.window_sizes);
+        EXPECT_EQ(stitched.payload, reference.payload);
+        EXPECT_EQ(arena.wireBytes(spilled.ticket),
+                  reference.effectiveBytes());
+        EXPECT_EQ(arena.shardCount(spilled.ticket), spilled.shards.size());
+        if (shape.shard_bytes == 4096) {
+            EXPECT_EQ(spilled.shards.size(), reference.window_sizes.size());
+        } else {
+            EXPECT_GT(spilled.shards.size(), shape.lanes);
+        }
+        EXPECT_GT(spilled.timing.overlap_fraction, 0.0);
 
-    SpillArena arena;
-    const SpilledOffload spilled = scheduler.offloadInto(input, arena).value();
-    const OffloadResult reference = scheduler.offload(input);
-
-    // Identical shard trains and identical modeled timing.
-    ASSERT_EQ(spilled.shards.size(), reference.shards.size());
-    for (size_t i = 0; i < spilled.shards.size(); ++i) {
-        EXPECT_EQ(spilled.shards[i].raw_bytes,
-                  reference.shards[i].raw_bytes);
-        EXPECT_EQ(spilled.shards[i].wire_bytes,
-                  reference.shards[i].wire_bytes);
+        const PrefetchResult restored =
+            transfers.prefetch(arena, spilled.ticket).value();
+        EXPECT_EQ(restored.data, input);
+        ASSERT_EQ(restored.shards.size(), spilled.shards.size());
+        for (size_t i = 0; i < restored.shards.size(); ++i) {
+            EXPECT_EQ(restored.shards[i].raw_bytes,
+                      spilled.shards[i].raw_bytes);
+            EXPECT_EQ(restored.shards[i].wire_bytes,
+                      spilled.shards[i].wire_bytes);
+        }
+        arena.release(spilled.ticket);
+        if (shape.shard_bytes == 0)
+            spills.push_back(spilled);
     }
-    EXPECT_DOUBLE_EQ(spilled.timing.overlapped_seconds,
-                     reference.timing.overlapped_seconds);
-    EXPECT_EQ(arena.shardCount(spilled.ticket),
-              reference.shards.size());
-    EXPECT_EQ(arena.wireBytes(spilled.ticket),
-              reference.buffer.effectiveBytes());
+    for (const SpilledOffload &spilled : spills) {
+        ASSERT_EQ(spilled.shards.size(), spills[0].shards.size());
+        for (size_t i = 0; i < spilled.shards.size(); ++i) {
+            EXPECT_EQ(spilled.shards[i].wire_bytes,
+                      spills[0].shards[i].wire_bytes);
+        }
+        EXPECT_DOUBLE_EQ(spilled.timing.overlapped_seconds,
+                         spills[0].timing.overlapped_seconds);
+    }
+}
 
-    // The arena prefetch restores the original and models the mirrored
-    // pipeline over the same shard train.
+TEST(SpillArena, SingleWindowBufferSpills)
+{
+    const CdmaEngine engine = makeEngine(Algorithm::Zvc, 4);
+    const TransferEngine transfers(engine);
+    const auto input = makeInput(0.5, 1000, 17);
+    SpillArena arena;
+    const SpilledOffload spilled =
+        transfers.offloadInto(input, arena).value();
+    const CompressedBuffer reference =
+        engine.compressor().serial().compress(input);
+    ASSERT_EQ(spilled.shards.size(), 1u);
+    EXPECT_EQ(spilled.shards[0].raw_bytes, input.size());
+    EXPECT_DOUBLE_EQ(spilled.timing.overlap_fraction, 0.0);
+    EXPECT_EQ(arena.materialize(spilled.ticket).payload, reference.payload);
+
     const PrefetchResult restored =
-        prefetcher.prefetch(arena, spilled.ticket).value();
+        transfers.prefetch(arena, spilled.ticket).value();
+    ASSERT_EQ(restored.shards.size(), 1u);
+    EXPECT_EQ(restored.shards[0].wire_bytes, reference.effectiveBytes());
+    EXPECT_DOUBLE_EQ(restored.timing.overlap_fraction, 0.0);
     EXPECT_EQ(restored.data, input);
-    const PrefetchResult via_buffer =
-        prefetcher.prefetch(reference.buffer).value();
-    EXPECT_EQ(via_buffer.data, input);
-    EXPECT_DOUBLE_EQ(restored.timing.overlapped_seconds,
-                     via_buffer.timing.overlapped_seconds);
     arena.release(spilled.ticket);
+}
+
+TEST(SpillArena, DeterministicEventTimeline)
+{
+    // Two round trips of the same map produce bit-identical bytes and
+    // timing: event ordering in the pipeline model is deterministic
+    // (FIFO tie-break), and shard completion order across lanes never
+    // leaks into the result.
+    const CdmaEngine engine = makeEngine(Algorithm::Zvc, 0); // all threads
+    const TransferEngine transfers(engine);
+    const auto input = makeInput(0.5, (1 << 20) + 4096, 41);
+    SpillArena arena;
+    const SpilledOffload a = transfers.offloadInto(input, arena).value();
+    const SpilledOffload b = transfers.offloadInto(input, arena).value();
+    EXPECT_EQ(a.timing.overlapped_seconds, b.timing.overlapped_seconds);
+    EXPECT_EQ(a.timing.compress_seconds, b.timing.compress_seconds);
+    EXPECT_EQ(a.timing.wire_seconds, b.timing.wire_seconds);
+    EXPECT_EQ(a.timing.overlap_fraction, b.timing.overlap_fraction);
+    EXPECT_EQ(arena.materialize(a.ticket).payload,
+              arena.materialize(b.ticket).payload);
+
+    const PrefetchResult ra = transfers.prefetch(arena, a.ticket).value();
+    const PrefetchResult rb = transfers.prefetch(arena, b.ticket).value();
+    EXPECT_EQ(ra.timing.overlapped_seconds, rb.timing.overlapped_seconds);
+    EXPECT_EQ(ra.timing.wire_seconds, rb.timing.wire_seconds);
+    EXPECT_EQ(ra.timing.decompress_seconds, rb.timing.decompress_seconds);
+    EXPECT_EQ(ra.data, rb.data);
+    arena.release(a.ticket);
+    arena.release(b.ticket);
 }
 
 TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
@@ -121,8 +205,7 @@ TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
     // slabs; every later iteration must be served entirely from
     // recycled slots and recycled tickets.
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
-    const PrefetchScheduler prefetcher(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
 
     std::vector<std::vector<uint8_t>> layers;
@@ -136,10 +219,10 @@ TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
         std::vector<SpillTicket> tickets;
         for (const auto &layer : layers)
             tickets.push_back(
-                scheduler.offloadInto(layer, arena)->ticket);
+                transfers.offloadInto(layer, arena)->ticket);
         for (size_t i = tickets.size(); i-- > 0;) {
             const PrefetchResult restored =
-                prefetcher.prefetch(arena, tickets[i]).value();
+                transfers.prefetch(arena, tickets[i]).value();
             EXPECT_EQ(restored.data, layers[i])
                 << "iteration " << iteration << " layer " << i;
             arena.release(tickets[i]);
@@ -165,14 +248,14 @@ TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
 TEST(SpillArena, HighWaterTracksConcurrentResidency)
 {
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
     const auto a = makeInput(0.5, 300 * 1024, 11);
     const auto b = makeInput(0.5, 300 * 1024, 13);
 
-    const SpillTicket ta = scheduler.offloadInto(a, arena)->ticket;
+    const SpillTicket ta = transfers.offloadInto(a, arena)->ticket;
     const uint64_t one = arena.stats().live_payload_bytes;
-    const SpillTicket tb = scheduler.offloadInto(b, arena)->ticket;
+    const SpillTicket tb = transfers.offloadInto(b, arena)->ticket;
     const uint64_t both = arena.stats().live_payload_bytes;
     EXPECT_GT(both, one);
     EXPECT_EQ(arena.stats().high_water_payload_bytes, both);
@@ -181,7 +264,7 @@ TEST(SpillArena, HighWaterTracksConcurrentResidency)
     // past the two-buffer peak (slots are recycled, residency is the
     // same).
     arena.release(ta);
-    const SpillTicket tc = scheduler.offloadInto(a, arena)->ticket;
+    const SpillTicket tc = transfers.offloadInto(a, arena)->ticket;
     EXPECT_EQ(arena.stats().high_water_payload_bytes, both);
     arena.release(tb);
     arena.release(tc);
@@ -191,10 +274,10 @@ TEST(SpillArena, HighWaterTracksConcurrentResidency)
 TEST(SpillArena, ShardViewsExposeTheStoredFraming)
 {
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
+    const TransferEngine transfers(engine);
     const auto input = makeInput(0.5, (1 << 19) + 37, 83);
     SpillArena arena;
-    const SpilledOffload spilled = scheduler.offloadInto(input, arena).value();
+    const SpilledOffload spilled = transfers.offloadInto(input, arena).value();
     const CompressedBuffer reference =
         engine.compressor().compress(input);
 
@@ -223,16 +306,21 @@ TEST(SpillArena, ShardViewsExposeTheStoredFraming)
 TEST(SpillArena, EmptyBufferSpills)
 {
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
-    const PrefetchScheduler prefetcher(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
-    const SpilledOffload spilled = scheduler.offloadInto({}, arena).value();
+    const SpilledOffload spilled = transfers.offloadInto({}, arena).value();
     EXPECT_EQ(arena.shardCount(spilled.ticket), 0u);
     EXPECT_EQ(arena.originalBytes(spilled.ticket), 0u);
+    EXPECT_EQ(spilled.timing.shard_count, 0u);
+    EXPECT_DOUBLE_EQ(spilled.timing.overlapped_seconds, 0.0);
+    const CompressedBuffer stitched = arena.materialize(spilled.ticket);
+    EXPECT_EQ(stitched.original_bytes, 0u);
+    EXPECT_TRUE(stitched.payload.empty());
     const PrefetchResult restored =
-        prefetcher.prefetch(arena, spilled.ticket).value();
+        transfers.prefetch(arena, spilled.ticket).value();
     EXPECT_TRUE(restored.data.empty());
     EXPECT_EQ(restored.timing.shard_count, 0u);
+    EXPECT_DOUBLE_EQ(restored.timing.overlapped_seconds, 0.0);
     arena.release(spilled.ticket);
     EXPECT_EQ(arena.stats().live_buffers, 0u);
 }

@@ -2,11 +2,11 @@
  * @file
  * Tests for the unified full-duplex TransferEngine: conservation and
  * degeneracy properties of the duplex DES (one direction idle must
- * reproduce the single-direction closed forms at 1e-9), arbiter
- * fairness under symmetric load, half-vs-full duplex contention,
- * byte-identity of spill-arena round trips through the unified ticket
- * flow at 1/2/8 lanes, and the contended surfaces on TransferPlan,
- * VdnnMemoryManager::duplexSchedule and the step simulator.
+ * reproduce the closed form at 1e-9), arbiter fairness under
+ * symmetric load, half-vs-full duplex contention, byte-identity of
+ * spill-arena round trips at 1/2/8 lanes, and the contended surfaces
+ * on TransferPlan, VdnnMemoryManager::duplexSchedule and the step
+ * simulator.
  */
 
 #include <algorithm>
@@ -71,15 +71,11 @@ makeShards(size_t n, uint64_t seed)
 TEST(DuplexPipeline, IdlePrefetchDirectionReducesToOffloadClosedForm)
 {
     // The duplex DES with the opposing direction empty must reproduce
-    // the single-direction closed forms (the degenerate case the
-    // direction schedulers keep) to 1e-9 — under both duplex modes and
-    // every arbiter, none of which may matter with one direction idle.
+    // each direction of the closed form to 1e-9.
     CdmaConfig config;
     config.transfer.timing_mode = TimingMode::Overlapped;
     const CdmaEngine engine(config);
     const TransferEngine transfers(engine);
-    const OffloadScheduler offload(engine);
-    const PrefetchScheduler prefetch(engine);
     const uint64_t shard_raw =
         transfers.shardWindows() * config.compression.window_bytes;
 
@@ -87,10 +83,10 @@ TEST(DuplexPipeline, IdlePrefetchDirectionReducesToOffloadClosedForm)
         for (const uint64_t raw :
              {shard_raw / 2, shard_raw, 3 * shard_raw,
               7 * shard_raw + shard_raw / 3, 64 * shard_raw + 4097}) {
+            const DuplexTiming closed = transfers.closedForm(raw, ratio);
+            const OffloadTiming &off_closed = closed.offload;
             const DuplexTiming off_only =
                 transfers.modelFromRatio(raw, ratio, 0, 1.0);
-            const OffloadTiming off_closed =
-                offload.modelFromRatio(raw, ratio);
             EXPECT_EQ(off_only.offload.shard_count,
                       off_closed.shard_count);
             EXPECT_NEAR(off_only.offload.overlapped_seconds,
@@ -110,10 +106,9 @@ TEST(DuplexPipeline, IdlePrefetchDirectionReducesToOffloadClosedForm)
             EXPECT_EQ(off_only.prefetch.shard_count, 0u);
             EXPECT_DOUBLE_EQ(off_only.prefetch.overlapped_seconds, 0.0);
 
+            const PrefetchTiming &pre_closed = closed.prefetch;
             const DuplexTiming pre_only =
                 transfers.modelFromRatio(0, 1.0, raw, ratio);
-            const PrefetchTiming pre_closed =
-                prefetch.modelFromRatio(raw, ratio);
             EXPECT_EQ(pre_only.prefetch.shard_count,
                       pre_closed.shard_count);
             EXPECT_NEAR(pre_only.prefetch.overlapped_seconds,
@@ -253,8 +248,8 @@ TEST(DuplexPipeline, PriorityArbiterFavorsItsDirection)
 
 TEST(TransferEngine, SpillArenaRoundTripsByteIdenticalAcrossLanes)
 {
-    // The unified ticket flow (offloadInto -> prefetch(arena, ticket))
-    // must restore byte-identical data at 1/2/8 compression lanes, and
+    // The arena flow (offloadInto -> prefetch(arena, ticket)) must
+    // restore byte-identical data at 1/2/8 compression lanes, and
     // the restored bytes and shard trains must not depend on lane
     // count.
     const auto input = makeInput(0.4, (1 << 20) + 123, 929);
@@ -298,25 +293,29 @@ TEST(TransferEngine, FullDuplexStepRacesOffloadAgainstPrefetch)
 
     const SpilledOffload first =
         transfers.offloadInto(earlier, arena).value();
-    const TransferEngine::DuplexResult step =
-        transfers.transfer(later, arena, first.ticket).value();
-    EXPECT_EQ(step.prefetch.data, ByteVec(earlier.begin(), earlier.end()));
+    const SpilledOffload offloaded =
+        transfers.offloadInto(later, arena).value();
+    const PrefetchResult prefetched =
+        transfers.prefetch(arena, first.ticket).value();
+    EXPECT_EQ(prefetched.data, ByteVec(earlier.begin(), earlier.end()));
     arena.release(first.ticket);
 
     const PrefetchResult second =
-        transfers.prefetch(arena, step.offload.ticket).value();
+        transfers.prefetch(arena, offloaded.ticket).value();
     EXPECT_EQ(second.data, ByteVec(later.begin(), later.end()));
-    arena.release(step.offload.ticket);
+    arena.release(offloaded.ticket);
 
-    // Wire-bound ZV-class shard trains on one link: the race must cost
-    // someone something.
-    EXPECT_GT(step.timing.contentionSeconds(), 0.0);
-    EXPECT_GT(step.timing.makespan_seconds, 0.0);
-    // The per-flow timings carry the contended breakdowns.
-    EXPECT_DOUBLE_EQ(step.offload.timing.overlapped_seconds,
-                     step.timing.offload.overlapped_seconds);
-    EXPECT_DOUBLE_EQ(step.prefetch.timing.overlapped_seconds,
-                     step.timing.prefetch.overlapped_seconds);
+    // Re-time both measured shard trains as one race on the shared
+    // link: wire-bound ZV-class trains must cost someone something, and
+    // neither direction can beat its uncontended solo timeline.
+    const DuplexTiming race =
+        transfers.duplexTiming(offloaded.shards, prefetched.shards);
+    EXPECT_GT(race.contentionSeconds(), 0.0);
+    EXPECT_GT(race.makespan_seconds, 0.0);
+    EXPECT_GE(race.offload.overlapped_seconds,
+              offloaded.timing.overlapped_seconds);
+    EXPECT_GE(race.prefetch.overlapped_seconds,
+              prefetched.timing.overlapped_seconds);
 }
 
 TEST(CdmaEngine, PlansCarryDuplexTiming)
@@ -328,8 +327,8 @@ TEST(CdmaEngine, PlansCarryDuplexTiming)
     const CdmaEngine full = makeEngine(1, DuplexMode::Full);
     const TransferPlan full_plan = full.planFromRatio("map", raw, 2.5);
     EXPECT_GT(full_plan.duplex.offload.shard_count, 0u);
-    // The duplex DES against the schedulers' closed forms: 1e-9, the
-    // same pin the degenerate-direction tests use.
+    // The duplex DES against the closed form: 1e-9, the same pin the
+    // degenerate-direction tests use.
     EXPECT_NEAR(full_plan.duplex.offload.overlapped_seconds,
                 full_plan.offload.overlapped_seconds,
                 1e-9 * full_plan.offload.overlapped_seconds);

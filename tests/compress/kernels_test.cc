@@ -79,8 +79,9 @@ TEST(KernelDispatch, Avx512NeverSelectedOnIncapableHosts)
         // Capable host: the unforced dispatch must pick it (the widest
         // backend), and only an explicit narrower override may not.
         const char *forced = std::getenv("CDMA_KERNEL_BACKEND");
-        if (forced == nullptr || *forced == '\0')
+        if (forced == nullptr || *forced == '\0') {
             EXPECT_STREQ(activeKernels().name, "avx512");
+        }
         return;
     }
     EXPECT_EQ(kernelsByName("avx512"), nullptr);

@@ -1,4 +1,4 @@
-/** @file Unit tests for the bandwidth-limited FIFO and duplex channels. */
+/** @file Unit tests for the duplex link channel. */
 
 #include <vector>
 
@@ -10,77 +10,6 @@ namespace cdma {
 namespace {
 
 using Direction = DuplexChannel::Direction;
-
-TEST(Channel, SingleTransferTakesBytesOverBandwidth)
-{
-    EventQueue queue;
-    Channel link(queue, "pcie", 16e9);
-    double done_at = -1.0;
-    link.submit(16'000'000'000ull, [&] { done_at = queue.now(); });
-    queue.run();
-    EXPECT_NEAR(done_at, 1.0, 1e-9);
-}
-
-TEST(Channel, TransfersServiceFifo)
-{
-    EventQueue queue;
-    Channel link(queue, "link", 100.0); // 100 B/s
-    std::vector<int> order;
-    double second_done = -1.0;
-    link.submit(100, [&] { order.push_back(1); });
-    link.submit(50, [&] {
-        order.push_back(2);
-        second_done = queue.now();
-    });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_NEAR(second_done, 1.5, 1e-12);
-}
-
-TEST(Channel, ExtraLatencyAddsToService)
-{
-    EventQueue queue;
-    Channel link(queue, "link", 100.0);
-    double done_at = -1.0;
-    link.submit(100, [&] { done_at = queue.now(); }, 0.25);
-    queue.run();
-    EXPECT_NEAR(done_at, 1.25, 1e-12);
-}
-
-TEST(Channel, TracksTotals)
-{
-    EventQueue queue;
-    Channel link(queue, "link", 1000.0);
-    link.submit(500, nullptr);
-    link.submit(250, nullptr);
-    queue.run();
-    EXPECT_EQ(link.totalBytes(), 750u);
-    EXPECT_NEAR(link.busySeconds(), 0.75, 1e-12);
-}
-
-TEST(Channel, UtilizationReflectsIdleTime)
-{
-    EventQueue queue;
-    Channel link(queue, "link", 100.0);
-    link.submit(100, nullptr); // busy [0, 1]
-    queue.run();
-    // Idle until t=3, then busy one more second.
-    queue.scheduleAt(3.0, [&] { link.submit(100, nullptr); });
-    queue.run();
-    EXPECT_NEAR(link.utilization(), 2.0 / 4.0, 1e-12);
-}
-
-TEST(Channel, SubmitAfterIdleStartsImmediately)
-{
-    EventQueue queue;
-    Channel link(queue, "link", 100.0);
-    double done_at = -1.0;
-    queue.scheduleAt(5.0, [&] {
-        link.submit(100, [&] { done_at = queue.now(); });
-    });
-    queue.run();
-    EXPECT_NEAR(done_at, 6.0, 1e-12);
-}
 
 TEST(DuplexChannel, FullDuplexDirectionsAreIndependent)
 {
@@ -131,27 +60,26 @@ TEST(DuplexChannel, HalfDuplexSerializesBothDirections)
 TEST(DuplexChannel, SingleDirectionDegeneratesToFifoChannel)
 {
     // With the opposing direction idle, both duplex modes must
-    // reproduce the plain Channel's FIFO timeline exactly.
+    // reproduce a plain FIFO timeline exactly: at 100 B/s, transfers of
+    // 100, 50, 250 and 1 bytes end at 1.0, 1.5, 4.0 and 4.01 s.
+    const std::vector<double> fifo_ends = {1.0, 1.5, 4.0, 4.01};
     for (const DuplexMode mode : {DuplexMode::Full, DuplexMode::Half}) {
         EventQueue queue;
-        Channel reference(queue, "ref", 100.0);
         DuplexChannel link(queue, "pcie", 100.0, mode);
-        std::vector<double> ref_ends, dup_ends;
+        std::vector<double> ends;
         for (const uint64_t bytes : {100ull, 50ull, 250ull, 1ull}) {
-            reference.submit(bytes,
-                             [&] { ref_ends.push_back(queue.now()); });
             link.submit(Direction::Out, bytes,
                         [&](const DuplexChannel::Grant &g) {
-                            dup_ends.push_back(g.end);
+                            ends.push_back(g.end);
+                            EXPECT_DOUBLE_EQ(g.end, queue.now());
                             EXPECT_DOUBLE_EQ(g.opposing_wait, 0.0);
                         });
         }
         queue.run();
-        ASSERT_EQ(ref_ends.size(), dup_ends.size());
-        for (size_t i = 0; i < ref_ends.size(); ++i)
-            EXPECT_DOUBLE_EQ(dup_ends[i], ref_ends[i]) << i;
-        EXPECT_DOUBLE_EQ(link.busySeconds(Direction::Out),
-                         reference.busySeconds());
+        ASSERT_EQ(ends.size(), fifo_ends.size());
+        for (size_t i = 0; i < ends.size(); ++i)
+            EXPECT_DOUBLE_EQ(ends[i], fifo_ends[i]) << i;
+        EXPECT_DOUBLE_EQ(link.busySeconds(Direction::Out), 4.01);
     }
 }
 

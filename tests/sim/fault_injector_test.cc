@@ -108,8 +108,9 @@ TEST(FaultInjector, OutcomesAreStructurallySound)
             // Flips land strictly increasing, inside the delivered
             // prefix, and each mask flips exactly one bit.
             EXPECT_LT(outcome.flip_offsets[k], outcome.truncate_to);
-            if (have_prev)
+            if (have_prev) {
                 EXPECT_GT(outcome.flip_offsets[k], prev);
+            }
             prev = outcome.flip_offsets[k];
             have_prev = true;
             EXPECT_EQ(std::popcount(outcome.flip_masks[k]), 1);
