@@ -8,14 +8,17 @@ things per kernel benchmark: the algorithm (from the benchmark family
 name), the kernel backend (an optional ``Scalar``/``Avx2``/``Avx512``
 family suffix for the explicit per-backend sweeps, plus the
 dispatcher's choice recorded in the JSON context as ``kernel_backend``),
-the activation density (the benchmark argument), and the achieved
-throughput (``bytes_per_second``, reported as GB/s). A refactor that
-renames a family, drops the density argument, stops calling
-``SetBytesProcessed`` or loses the backend context silently breaks the
-trajectory; this script fails the job instead. It also fails when a
-SIMD-capable host silently dispatched to a narrower backend (a broken
-CPUID path would otherwise masquerade as a perf regression) — unless
-CDMA_KERNEL_BACKEND requested exactly that backend.
+the activation density (the first benchmark argument), the input size
+of the sized families (``BM_ZvcCompress``/``BM_ZvcDecompress``
+``/<density>/<MB>`` and ``BM_Crc32Hw/<MB>``, each at 1, 16 and 64 MB),
+and the achieved throughput (``bytes_per_second``, reported as GB/s).
+A refactor that renames a family, drops the density or size argument,
+stops calling ``SetBytesProcessed`` or loses the backend context
+silently breaks the trajectory; this script fails the job instead. It
+also fails when a SIMD-capable host silently dispatched to a narrower
+backend (a broken CPUID path would otherwise masquerade as a perf
+regression) — unless CDMA_KERNEL_BACKEND requested exactly that
+backend.
 
 **Perf-regression gate** (``--baseline``). Compares every recorded
 ``BM_*`` row of the baseline report against the same-named row of the
@@ -86,6 +89,16 @@ POLICY_OVERHEAD_FACTOR = 100.0
 # tax the robustness layer added.
 CRC_SCALAR_FAMILY = "BM_Crc32Scalar"
 CRC_HW_FAMILY = "BM_Crc32Hw"
+# Families that sweep the input size: the last argument is the size in
+# MB, and every size of SIZES_MB must be present. Rows recorded before
+# the sweep carry no size argument and measured 1 MB; BM_ZvcDecompress
+# then carried no density either and always ran at 40%.
+# canonical_name() fills both in, so the gate compares such a row with
+# its 1 MB successor instead of reporting it missing.
+SIZED_FAMILIES = {"BM_ZvcCompress": 2, "BM_ZvcDecompress": 2,
+                  CRC_HW_FAMILY: 1}
+SIZES_MB = ("1", "16", "64")
+LEGACY_LEADING_ARGS = {"BM_ZvcDecompress": ["40"]}
 # Widest first: the silent-fallback check expects the dispatcher to
 # pick the widest backend the producing host supports.
 KNOWN_BACKENDS = ("avx512", "avx2", "scalar")
@@ -102,6 +115,16 @@ NAME_RE = re.compile(r"^BM_([A-Za-z0-9]+?)(Compress|Decompress|CycleModel|"
 # (host-side modeling speed of a contention sweep, dominated by event
 # count, gated separately via their contention counters).
 DEFAULT_ALLOWED_REGRESSIONS = re.compile(r"Parallel|^BM_FleetOffload")
+
+
+def canonical_name(name: str) -> str:
+    """The row name with a legacy row's implied arguments filled in."""
+    family, *args = name.split("/")
+    arity = SIZED_FAMILIES.get(family)
+    if arity is None or len(args) >= arity:
+        return name
+    args = (args or LEGACY_LEADING_ARGS.get(family, [])) + ["1"]
+    return "/".join([family] + args)
 
 
 def fail(message: str) -> None:
@@ -197,6 +220,7 @@ def check_schema(report: dict, path: str) -> str:
         fail(f"{path} has no 'benchmarks' array (or it is empty)")
 
     seen_families = set()
+    sizes_seen = {}
     fleet_contention = {}
     policy_decide_bps = {}
     zvc_dispatch_bps = {}
@@ -212,6 +236,12 @@ def check_schema(report: dict, path: str) -> str:
                  "BM_<Algorithm><Kind>[<Backend>][/density[/lanes]]")
         family = name.split("/")[0]
         seen_families.add(family)
+        if family in SIZED_FAMILIES:
+            args = name.split("/")[1:]
+            if len(args) != SIZED_FAMILIES[family]:
+                fail(f"'{name}' must carry {SIZED_FAMILIES[family]} "
+                     "argument(s), the last being the size in MB")
+            sizes_seen.setdefault(family, set()).add(args[-1])
         # Every throughput kernel must report bytes_per_second (that is
         # the GB/s column of docs/performance.md); the cycle-model
         # benchmark reports a modeled-rate counter instead.
@@ -246,18 +276,24 @@ def check_schema(report: dict, path: str) -> str:
             fleet_contention[family] = stall
         # Collect the per-density rows the policy-overhead bound
         # compares: the sampled decide() against the dispatch ZVC
-        # compress it would steer.
+        # compress it would steer, at 1 MB, its fastest size.
         if "/" in name and isinstance(entry.get("bytes_per_second"),
                                       (int, float)):
-            density_arg = name.split("/")[1]
+            args = name.split("/")[1:]
+            density_arg = args[0]
             if family == "BM_AdaptivePolicyDecide":
                 policy_decide_bps[density_arg] = entry["bytes_per_second"]
-            elif family == "BM_ZvcCompress":
+            elif family == "BM_ZvcCompress" and args[-1] == "1":
                 zvc_dispatch_bps[density_arg] = entry["bytes_per_second"]
 
     missing = [f for f in REQUIRED_FAMILIES if f not in seen_families]
     if missing:
         fail(f"required benchmark families absent: {', '.join(missing)}")
+    for family, sizes in sorted(sizes_seen.items()):
+        missing_sizes = [mb for mb in SIZES_MB if mb not in sizes]
+        if missing_sizes:
+            fail(f"{family} lacks its {', '.join(missing_sizes)} MB "
+                 "row(s): the size sweep is part of the trajectory")
     missing_duplex = [f for f in DUPLEX_FAMILIES if f not in seen_families]
     if missing_duplex:
         fail("duplex-transfer model families absent: "
@@ -332,8 +368,10 @@ def check_schema(report: dict, path: str) -> str:
         bps = entry.get("bytes_per_second")
         if (family in REQUIRED_FAMILIES and "/" in name
                 and isinstance(bps, (int, float))):
-            density = name.split("/")[1]
-            summary.append(f"{family[3:]} d{density}: {bps / 1e9:.2f} GB/s")
+            args = name.split("/")[1:]
+            size = f" {args[-1]} MB" if family in SIZED_FAMILIES else ""
+            summary.append(f"{family[3:]} d{args[0]}{size}: "
+                           f"{bps / 1e9:.2f} GB/s")
     print(f"check_bench_json: OK ({len(benchmarks)} entries, "
           f"{len(seen_families)} families, dispatch={backend}, "
           f"duplex={duplex_mode})")
@@ -358,7 +396,7 @@ def throughput_rows(report: dict) -> dict:
         bps = entry.get("bytes_per_second")
         name = entry.get("name")
         if name and isinstance(bps, (int, float)) and bps > 0:
-            rows[name] = bps
+            rows[canonical_name(name)] = bps
     return rows
 
 
@@ -455,7 +493,7 @@ def self_test(path: str, tolerance: float) -> None:
             entry["bytes_per_second"] /= 2.0
 
     caught, _, _ = gate_regressions(report, slowed, tolerance, [])
-    if not [r for r in caught if r[0] == victim]:
+    if not [r for r in caught if r[0] == canonical_name(victim)]:
         fail(f"self-test: gate MISSED an injected 2x slowdown on "
              f"{victim} at tolerance {tolerance:.0%}")
     clean, _, gated = gate_regressions(report, copy.deepcopy(report),

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <queue>
 
 #include "common/bits.hh"
@@ -157,6 +158,16 @@ TransferEngine::TransferEngine(const CdmaEngine &engine)
                                                config.compression.window_bytes);
     CDMA_ASSERT(config.transfer.staging_buffers >= 1,
                 "the transfer pipelines need at least one staging buffer");
+    wire_bandwidth_ = config.gpu.pcie_effective_bandwidth;
+    if (const auto &graph = config.topology.graph) {
+        wire_bandwidth_ = std::numeric_limits<double>::infinity();
+        const Route route = graph->route(config.topology.gpu_node,
+                                         config.topology.host_node);
+        for (const RouteHop &hop : route.hops) {
+            wire_bandwidth_ = std::min(
+                wire_bandwidth_, graph->link(hop.link).props.bytes_per_second);
+        }
+    }
 }
 
 namespace {
@@ -542,7 +553,7 @@ TransferEngine::closedForm(uint64_t raw_bytes, double ratio) const
     const auto wire_seconds = [&](uint64_t raw) {
         return static_cast<double>(static_cast<uint64_t>(
                    static_cast<double>(raw) / ratio)) /
-            config.gpu.pcie_effective_bandwidth;
+            wire_bandwidth_;
     };
     const uint64_t full = raw_bytes / shard_raw;
     const uint64_t tail_raw = raw_bytes % shard_raw;

@@ -316,7 +316,13 @@ class TransferEngine
      *
      * a tail-only transfer takes t1 + t2, and one staging buffer
      * serializes the stage sums. pipelineTiming() is the pinned DES
-     * reference; stage bandwidths come from the GpuSpec.
+     * reference. The engine stages run at GpuSpec::comp_bandwidth; the
+     * wire runs at the bottleneck edge of the configured route
+     * (TopologyConfig::graph, gpu_node to host_node), or at
+     * GpuSpec::pcie_effective_bandwidth without a graph. That is exact
+     * for one-hop routes without link latency, the case duplexTiming()
+     * replays event for event; per-hop latency and store-and-forward
+     * fill on longer routes are left to the DES.
      */
     DuplexTiming closedForm(uint64_t raw_bytes, double ratio) const;
 
@@ -383,6 +389,8 @@ class TransferEngine
   private:
     const CdmaEngine &engine_;
     uint64_t shard_windows_;
+    /** Wire rate closedForm() prices: the route's bottleneck edge. */
+    double wire_bandwidth_;
 };
 
 } // namespace cdma

@@ -4,9 +4,9 @@
  * shuffle-table left-packing through vpermd (the 8-lane analogue of the
  * hardware shift network — one table lookup replaces the prefix sum),
  * the inverse expand table for the prefetch-side mask scatter (vpermd
- * again, with vpmaskmovd keeping partial payload loads inside the live
- * bytes), and 256-bit strides for the run scans and match extension.
- * Compiled
+ * again, with vpmaskmovd keeping loads near the payload end inside the
+ * payload), 256-bit strides for the run scans and match extension, and
+ * the three-stream SSE4.2 CRC32C. Compiled
  * with per-function target attributes so the translation unit builds on
  * any x86-64 toolchain regardless of -march; whether the code ever runs
  * is a CPUID decision made in dispatch.cc.
@@ -20,9 +20,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+#include <iterator>
 
 namespace cdma {
 
@@ -88,8 +90,9 @@ loadWord(const uint8_t *p)
     return value;
 }
 
-CDMA_AVX2 uint32_t
-zvcCompactGroupAvx2(const uint8_t *src, uint32_t words, uint8_t *dst)
+/** Shuffle-table left-pack of one group of 1..32 words; returns the mask. */
+CDMA_AVX2 inline uint32_t
+compactGroup(const uint8_t *src, uint32_t words, uint8_t *dst)
 {
     const __m256i zero = _mm256_setzero_si256();
     uint32_t mask = 0;
@@ -134,15 +137,40 @@ zvcCompactGroupAvx2(const uint8_t *src, uint32_t words, uint8_t *dst)
     return mask;
 }
 
-CDMA_AVX2 uint32_t
-zvcExpandGroupAvx2(const uint8_t *src, uint32_t mask, uint32_t words,
-                   uint8_t *dst)
+CDMA_AVX2 size_t
+zvcCompressWindowAvx2(const uint8_t *src, size_t bytes, uint8_t *dst)
+{
+    const size_t words = bytes / 4;
+    uint8_t *const start = dst;
+    for (size_t w = 0; w < words; w += 32) {
+        const auto group =
+            static_cast<uint32_t>(std::min<size_t>(32, words - w));
+        const uint32_t mask = compactGroup(src + w * 4, group, dst + 4);
+        std::memcpy(dst, &mask, 4);
+        dst += 4 + 4 * std::popcount(mask);
+    }
+    const size_t tail = bytes % 4;
+    if (tail != 0)
+        std::memcpy(dst, src + words * 4, tail);
+    return static_cast<size_t>(dst - start) + tail;
+}
+
+/**
+ * Inverse shuffle-table scatter of one group of 1..32 words whose
+ * 4 * popcount(mask) payload bytes at @p src have been bounds-checked;
+ * @p end is the end of the window's payload, so an 8-word sub-block
+ * loads its packed words with one plain 32-byte load whenever that
+ * stays inside the payload, and through vpmaskmovd (disabled lanes are
+ * never accessed) at the very end of the stream.
+ */
+CDMA_AVX2 inline void
+expandGroup(const uint8_t *src, const uint8_t *end, uint32_t mask,
+            uint32_t words, uint8_t *dst)
 {
     const __m256i lane_bit =
         _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     const __m256i lane_index =
         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    size_t consumed = 0;
     uint32_t w = 0;
     while (w + 8 <= words) {
         const uint32_t m = (mask >> w) & 0xFFu;
@@ -155,52 +183,78 @@ zvcExpandGroupAvx2(const uint8_t *src, uint32_t mask, uint32_t words,
             w += 8;
             continue;
         }
-        // Full sub-blocks (the common case in dense pages) are a plain
-        // wide copy: no permute, no keep-mask.
-        if (m == 0xFFu) {
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(dst + w * 4),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(src + consumed)));
-            consumed += 32;
-            w += 8;
-            continue;
-        }
         const uint32_t count = static_cast<uint32_t>(std::popcount(m));
-        // The payload is only readable up to the live bytes, so partial
-        // sub-blocks load through vpmaskmovd (disabled lanes are never
-        // accessed).
-        const __m256i live = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(static_cast<int>(count)), lane_index);
-        const __m256i packed = _mm256_maskload_epi32(
-            reinterpret_cast<const int *>(src + consumed), live);
+        const __m256i packed = end - src >= 32
+            ? _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src))
+            : _mm256_maskload_epi32(
+                  reinterpret_cast<const int *>(src),
+                  _mm256_cmpgt_epi32(
+                      _mm256_set1_epi32(static_cast<int>(count)),
+                      lane_index));
         // Inverse shuffle-table lookup: one vpermd routes payload word
         // prefix-popcount(m, lane) to every lane, then the mask's zero
         // lanes are blanked — the software mirror of the DPE's scatter
-        // network.
-        const __m128i packed_idx = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(kExpand[m].data()));
-        const __m256i idx = _mm256_cvtepu8_epi32(packed_idx);
-        const __m256i scattered = _mm256_permutevar8x32_epi32(packed, idx);
-        const __m256i keep = _mm256_cmpeq_epi32(
-            _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(m)),
-                             lane_bit),
-            lane_bit);
+        // network. Full sub-blocks skip both.
+        __m256i scattered = packed;
+        if (m != 0xFFu) {
+            const __m128i packed_idx = _mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(kExpand[m].data()));
+            const __m256i idx = _mm256_cvtepu8_epi32(packed_idx);
+            const __m256i keep = _mm256_cmpeq_epi32(
+                _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(m)),
+                                 lane_bit),
+                lane_bit);
+            scattered = _mm256_and_si256(
+                _mm256_permutevar8x32_epi32(packed, idx), keep);
+        }
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + w * 4),
-                            _mm256_and_si256(scattered, keep));
-        consumed += count * 4;
+                            scattered);
+        src += count * 4;
         w += 8;
     }
     // Sub-block tail (groups shorter than 8 words): scalar scatter.
     for (; w < words; ++w) {
         uint32_t value = 0;
         if (mask & (1u << w)) {
-            std::memcpy(&value, src + consumed, 4);
-            consumed += 4;
+            std::memcpy(&value, src, 4);
+            src += 4;
         }
         std::memcpy(dst + w * 4, &value, 4);
     }
-    return static_cast<uint32_t>(consumed);
+}
+
+CDMA_AVX2 ZvcExpandResult
+zvcExpandWindowAvx2(const uint8_t *src, size_t payload_bytes,
+                    size_t original_bytes, uint8_t *dst)
+{
+    using Fault = ZvcExpandResult::Fault;
+    const uint8_t *const end = src + payload_bytes;
+    const size_t words = original_bytes / 4;
+    size_t cursor = 0;
+    for (size_t w = 0; w < words; w += 32) {
+        const auto group =
+            static_cast<uint32_t>(std::min<size_t>(32, words - w));
+        if (payload_bytes - cursor < 4)
+            return {Fault::MaskTruncated, cursor, 0};
+        uint32_t mask = loadWord(src + cursor);
+        cursor += 4;
+        if (group < 32)
+            mask &= (1u << group) - 1u;
+        const auto present = static_cast<uint32_t>(std::popcount(mask));
+        if (payload_bytes - cursor < size_t{4} * present)
+            return {Fault::DataTruncated, cursor, present};
+        expandGroup(src + cursor, end, mask, group, dst + w * 4);
+        cursor += size_t{4} * present;
+    }
+    const size_t tail = original_bytes % 4;
+    if (payload_bytes - cursor < tail)
+        return {Fault::TailTruncated, cursor, 0};
+    if (tail != 0)
+        std::memcpy(dst + words * 4, src + cursor, tail);
+    cursor += tail;
+    if (cursor != payload_bytes)
+        return {Fault::TrailingBytes, cursor, 0};
+    return {Fault::None, cursor, 0};
 }
 
 CDMA_AVX2 uint64_t
@@ -327,24 +381,115 @@ zeroFillBytesAvx2(uint8_t *dst, size_t n)
 }
 
 /**
- * Hardware CRC32C: the SSE4.2 crc32 instruction retires 8 bytes per
- * issue (3-cycle latency, fully pipelined). Every AVX2 part implements
- * SSE4.2, so this rides the same CPUID gate as the rest of the backend;
- * the per-function target keeps the TU building regardless of -march.
+ * CRC32C polynomial arithmetic for the stream merge, in the reflected
+ * representation the crc32 instruction uses (bit 31 holds x^0): the
+ * product a(x) * b(x) mod P, one shift-and-reduce step per bit of a.
  */
-__attribute__((target("sse4.2"))) uint32_t
+constexpr uint32_t
+multModP(uint32_t a, uint32_t b)
+{
+    uint32_t product = 0;
+    for (uint32_t bit = 1u << 31; bit != 0; bit >>= 1) {
+        if (a & bit)
+            product ^= b;
+        b = (b & 1u) ? (b >> 1) ^ 0x82F63B78u : b >> 1;
+    }
+    return product;
+}
+
+/** x^n mod P, reflected, by square-and-multiply. */
+constexpr uint32_t
+xPowModP(uint64_t n)
+{
+    uint32_t result = 1u << 31; // x^0
+    uint32_t square = 1u << 30; // x^1
+    for (; n != 0; n >>= 1) {
+        if (n & 1)
+            result = multModP(result, square);
+        square = multModP(square, square);
+    }
+    return result;
+}
+
+/**
+ * Multiplier that shifts a CRC register past @p bytes zero bytes:
+ * clmul(crc, K) is the 64-bit product x * crc(x) * K(x), and
+ * crc32(0, product) multiplies by a further x^32 mod P, so
+ * K = x^(8 * bytes - 33) mod P makes the pair equal to
+ * crc(x) * x^(8 * bytes) mod P — the register after the zeros.
+ */
+constexpr uint32_t
+shiftMultiplier(size_t bytes)
+{
+    return xPowModP(8 * static_cast<uint64_t>(bytes) - 33);
+}
+
+inline uint64_t
+loadU64(const uint8_t *p)
+{
+    uint64_t value;
+    std::memcpy(&value, p, sizeof(value));
+    return value;
+}
+
+/**
+ * Three crc32 chains over consecutive @p Stride-byte blocks while at
+ * least 3 * Stride bytes remain. One chain is latency-bound (3 cycles
+ * per 8 bytes); three independent ones keep the unit busy every cycle.
+ * The registers of the first two blocks are then shifted past the
+ * bytes that follow them (2 * Stride and Stride) with one PCLMULQDQ
+ * each, folded into one crc32 reduction and merged into the third —
+ * bit-identical to one chain over the same bytes.
+ */
+template <size_t Stride>
+__attribute__((target("sse4.2,pclmul"))) inline uint64_t
+crc32ThreeStreams(uint64_t crc, const uint8_t *&data, size_t &n)
+{
+    static_assert(Stride % 8 == 0 && Stride >= 8);
+    constexpr uint32_t kShift2 = shiftMultiplier(2 * Stride);
+    constexpr uint32_t kShift1 = shiftMultiplier(Stride);
+    while (n >= 3 * Stride) {
+        uint64_t c0 = crc, c1 = 0, c2 = 0;
+        for (size_t i = 0; i < Stride; i += 8) {
+            c0 = _mm_crc32_u64(c0, loadU64(data + i));
+            c1 = _mm_crc32_u64(c1, loadU64(data + Stride + i));
+            c2 = _mm_crc32_u64(c2, loadU64(data + 2 * Stride + i));
+        }
+        const __m128i p0 = _mm_clmulepi64_si128(
+            _mm_cvtsi32_si128(static_cast<int>(c0)),
+            _mm_cvtsi32_si128(static_cast<int>(kShift2)), 0x00);
+        const __m128i p1 = _mm_clmulepi64_si128(
+            _mm_cvtsi32_si128(static_cast<int>(c1)),
+            _mm_cvtsi32_si128(static_cast<int>(kShift1)), 0x00);
+        crc = c2 ^ _mm_crc32_u64(0, static_cast<uint64_t>(_mm_cvtsi128_si64(
+                                        _mm_xor_si128(p0, p1))));
+        data += 3 * Stride;
+        n -= 3 * Stride;
+    }
+    return crc;
+}
+
+static_assert(std::size(kCrc32cStreamStrides) == 2,
+              "crc32Hw runs every published stride");
+
+/**
+ * Hardware CRC32C: the SSE4.2 crc32 instruction retires 8 bytes per
+ * issue (3-cycle latency, fully pipelined), run as three streams at
+ * each of kCrc32cStreamStrides and finished by one chain. Every AVX2
+ * part implements SSE4.2 and PCLMULQDQ, so this rides the same CPUID
+ * gate as the rest of the backend; the per-function target keeps the
+ * TU building regardless of -march.
+ */
+__attribute__((target("sse4.2,pclmul"))) uint32_t
 crc32Hw(uint32_t seed, const uint8_t *data, size_t n)
 {
     uint64_t crc = ~seed;
-    size_t i = 0;
-    while (i + 8 <= n) {
-        uint64_t word;
-        std::memcpy(&word, data + i, sizeof(word));
-        crc = _mm_crc32_u64(crc, word);
-        i += 8;
-    }
-    for (; i < n; ++i)
-        crc = _mm_crc32_u8(static_cast<uint32_t>(crc), data[i]);
+    crc = crc32ThreeStreams<kCrc32cStreamStrides[0]>(crc, data, n);
+    crc = crc32ThreeStreams<kCrc32cStreamStrides[1]>(crc, data, n);
+    for (; n >= 8; data += 8, n -= 8)
+        crc = _mm_crc32_u64(crc, loadU64(data));
+    for (; n != 0; ++data, --n)
+        crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *data);
     return ~static_cast<uint32_t>(crc);
 }
 
@@ -357,8 +502,8 @@ avx2Kernels()
 {
     static const KernelOps ops = {
         "avx2",
-        zvcCompactGroupAvx2,
-        zvcExpandGroupAvx2,
+        zvcCompressWindowAvx2,
+        zvcExpandWindowAvx2,
         zeroRunWordsAvx2,
         literalRunWordsAvx2,
         matchLengthAvx2,
@@ -366,10 +511,11 @@ avx2Kernels()
         zeroFillBytesAvx2,
         crc32Hw,
     };
-    // Every AVX2 part ships SSE4.2, but the hardware CRC makes the
-    // dependency explicit rather than assumed.
+    // Every AVX2 part ships SSE4.2 and PCLMULQDQ, but the hardware CRC
+    // makes the dependency explicit rather than assumed.
     static const bool supported = __builtin_cpu_supports("avx2") &&
-        __builtin_cpu_supports("sse4.2");
+        __builtin_cpu_supports("sse4.2") &&
+        __builtin_cpu_supports("pclmul");
     return supported ? &ops : nullptr;
 }
 

@@ -15,10 +15,14 @@
  * DEFLATE tokenizer together.
  *
  * The table covers both directions: the compaction ops feed the offload
- * leg, and the expand ops (zvcExpandGroup's mask-driven scatter — the
+ * leg, and the expand ops (zvcExpandWindow's mask-driven scatter — the
  * inverse shuffle-table lookup — plus the zero-fill used by RLE run
  * reconstruction) feed the prefetch leg, so the decompressor can keep
  * pace with the link the way Section V-B provisions the DPE replicas.
+ * The ZVC ops work a whole window per call: the group loop, the
+ * partial last group, the sub-word tail and the expand-side bounds
+ * checks all live in the backend, so the codec pays one indirect call
+ * per 4 KB window instead of one per 128-byte group.
  *
  * Dispatch is decided once at startup: CPUID picks the widest supported
  * backend, and the CDMA_KERNEL_BACKEND environment variable ("scalar",
@@ -46,6 +50,30 @@
 namespace cdma {
 
 /**
+ * Outcome of KernelOps::zvcExpandWindow. The op only classifies the
+ * fault; ZvcCompressor turns it into a Status.
+ */
+struct ZvcExpandResult {
+    enum class Fault : uint8_t {
+        None,          ///< window restored, payload consumed exactly
+        MaskTruncated, ///< payload ends before a group's 4-byte mask
+        DataTruncated, ///< a mask promises more words than remain
+        TailTruncated, ///< payload ends inside the raw sub-word tail
+        TrailingBytes, ///< payload continues past the window's stream
+    };
+    Fault fault = Fault::None;
+    /**
+     * Payload offset where decoding stopped: the failing read for the
+     * truncation faults, the end of the window's stream otherwise.
+     */
+    size_t cursor = 0;
+    /** Non-zero words the failing mask promised (DataTruncated only). */
+    uint32_t promised = 0;
+
+    bool operator==(const ZvcExpandResult &) const = default;
+};
+
+/**
  * The primitive hot operations of the codec stack, as a flat function
  * table. All word offsets/counts are in 4-byte (fp32 activation) words.
  */
@@ -54,35 +82,43 @@ struct KernelOps {
     const char *name;
 
     /**
-     * ZVC group op: form the non-zero mask over @p words (1..32)
-     * consecutive 32-bit words at @p src and left-pack the non-zero words
-     * to @p dst in order (the software mirror of the hardware prefix-sum
-     * shift network). Returns the mask; exactly
-     * 4 * popcount(mask) payload bytes are live at @p dst.
+     * ZVC compress op over one whole window of @p bytes bytes at @p src:
+     * for every group of up to 32 consecutive 32-bit words (only the
+     * window's last group may be shorter), a 4-byte mask of the non-zero
+     * words followed by those words left-packed in order (the software
+     * mirror of the hardware prefix-sum shift network); then the
+     * window's sub-word tail (@p bytes % 4 bytes) stored raw. Returns
+     * the stream length in bytes.
      *
-     * @p dst must have room for 4 * @p words bytes: backends may store
-     * full groups unconditionally and let the write pointer lag (the
-     * branchless/left-pack trick), so bytes beyond the live payload are
-     * scratch.
+     * Headroom: @p dst must have room for the all-dense stream size,
+     * ZvcCompressor::compressedBound(@p bytes) = 4 * groups + 4 * words
+     * + bytes % 4. Backends may store whole sub-blocks unconditionally
+     * and let the write pointer lag (the branchless left-pack trick), so
+     * bytes between the returned length and that bound are scratch. A
+     * full sub-block of k words never writes past the bound: the words
+     * it covers are still owed their 4k bytes there.
      */
-    uint32_t (*zvcCompactGroup)(const uint8_t *src, uint32_t words,
+    size_t (*zvcCompressWindow)(const uint8_t *src, size_t bytes,
                                 uint8_t *dst);
 
     /**
-     * ZVC expand op — the inverse of zvcCompactGroup: scatter the
-     * left-packed non-zero words at @p src back to their mask positions,
-     * writing exactly @p words (1..32) 32-bit words at @p dst (zeros
-     * where the mask bit is clear). Bits of @p mask at or above
-     * @p words must be clear. Returns the payload bytes consumed,
-     * always 4 * popcount(mask).
+     * ZVC expand op, the inverse of zvcCompressWindow: decode the
+     * @p payload_bytes stream at @p src into exactly @p original_bytes
+     * bytes at @p dst (zeros where a mask bit is clear). Mask bits at or
+     * above a short final group's word count are ignored (the
+     * trailing-bytes check then flags the surplus payload).
      *
-     * @p src is only readable for 4 * popcount(mask) bytes — backends
-     * must not over-read past the live payload (the compressed stream
-     * ends where the last window's payload ends), while @p dst always
-     * has the full 4 * @p words bytes of room.
+     * The op bounds-checks every mask and payload read: it never reads
+     * outside [@p src, @p src + @p payload_bytes) and never writes
+     * outside [@p dst, @p dst + @p original_bytes), whatever the
+     * payload holds. A malformed stream stops at the first fault with
+     * @p dst in an unspecified state. Every backend reports the same
+     * ZvcExpandResult for the same input.
      */
-    uint32_t (*zvcExpandGroup)(const uint8_t *src, uint32_t mask,
-                               uint32_t words, uint8_t *dst);
+    ZvcExpandResult (*zvcExpandWindow)(const uint8_t *src,
+                                       size_t payload_bytes,
+                                       size_t original_bytes,
+                                       uint8_t *dst);
 
     /**
      * Length of the run of all-zero 32-bit words starting at @p words,
@@ -123,12 +159,23 @@ struct KernelOps {
      * chaining crc32(crc32(0, a), b) equals crc32(0, a+b)). This is the
      * end-to-end integrity check framing every spilled shard: computed
      * at compress time, verified on prefetch before expansion. The
-     * scalar backend is a slice-by-8 table walk; the AVX2 backend rides
-     * the SSE4.2 crc32 instruction (every AVX2 part has it). Both
-     * produce the identical standard CRC32C value.
+     * scalar backend is a slice-by-8 table walk; the AVX2 and AVX-512
+     * backends share the SSE4.2 crc32 instruction, run as three
+     * independent streams (kCrc32cStreamStrides) whose registers are
+     * merged with a PCLMULQDQ shift. All produce the identical standard
+     * CRC32C value.
      */
     uint32_t (*crc32)(uint32_t seed, const uint8_t *data, size_t n);
 };
+
+/**
+ * Stream strides B (bytes, widest first) of the hardware CRC32C: while
+ * at least 3B bytes remain, three crc32 chains each walk B bytes side
+ * by side, hiding the instruction's 3-cycle latency, and the first two
+ * registers are then shifted by 2B and B bytes and folded into the
+ * third. Below 3 * the narrowest stride one chain finishes the buffer.
+ */
+inline constexpr size_t kCrc32cStreamStrides[] = {4096, 256};
 
 /** The portable scalar backend (always available). */
 const KernelOps &scalarKernels();

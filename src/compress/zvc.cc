@@ -1,9 +1,6 @@
 #include "compress/zvc.hh"
 
-#include <cstring>
-
 #include "common/bits.hh"
-#include "common/logging.hh"
 #include "compress/kernels/kernels.hh"
 
 namespace cdma {
@@ -34,47 +31,16 @@ void
 ZvcCompressor::compressWindowInto(std::span<const uint8_t> window,
                                   ByteVec &out) const
 {
-    const uint64_t full_words = window.size() / kWordBytes;
-    const uint64_t tail_bytes = window.size() % kWordBytes;
-    const uint8_t *src = window.data();
-
-    // Single pass, sized to the worst case up front and trimmed once at
-    // the end; out is a ByteVec, so the resize-to-bound leaves the staging
-    // bytes uninitialized instead of zero-filling a region the loop below
-    // overwrites. The mask-and-compact of each 32-word group is the
-    // kernel backend's zvcCompactGroup op — the software mirror of the
-    // hardware's prefix-sum shift network (Figure 10a) — which may store
-    // whole sub-blocks unconditionally and let the write pointer lag, so
-    // the worst-case sizing below is also its scratch headroom.
-    const KernelOps &kernel = kernels();
+    // Sized to the worst case up front and trimmed once at the end; out
+    // is a ByteVec, so the resize-to-bound leaves the staging bytes
+    // uninitialized instead of zero-filling a region the kernel
+    // overwrites. The worst-case sizing is also the scratch headroom the
+    // backend's zvcCompressWindow may store whole sub-blocks into.
     const size_t base = out.size();
     out.resize(base + compressedBound(window.size()));
-    uint8_t *out_base = out.data() + base;
-    uint8_t *dst = out_base;
-
-    uint64_t word = 0;
-    while (word < full_words) {
-        const uint32_t group = static_cast<uint32_t>(
-            std::min<uint64_t>(kMaskWords, full_words - word));
-        uint8_t *mask_pos = dst;
-        dst += sizeof(uint32_t);
-        const uint32_t mask =
-            kernel.zvcCompactGroup(src + word * kWordBytes, group, dst);
-        dst += static_cast<uint32_t>(kWordBytes) *
-            static_cast<uint32_t>(popcount32(mask));
-        std::memcpy(mask_pos, &mask, sizeof(mask));
-        word += group;
-    }
-
-    // Sub-word tail (only possible when the window is not a multiple of 4
-    // bytes, e.g. the last window of an oddly sized buffer): stored raw.
-    // At most 3 bytes — a plain memcpy inlines, the kernel table's bulk
-    // copy would cost an indirect call.
-    if (tail_bytes) {
-        std::memcpy(dst, src + full_words * kWordBytes, tail_bytes);
-        dst += tail_bytes;
-    }
-    out.resize(base + static_cast<size_t>(dst - out_base));
+    const size_t written = kernels().zvcCompressWindow(
+        window.data(), window.size(), out.data() + base);
+    out.resize(base + written);
 }
 
 Status
@@ -82,64 +48,33 @@ ZvcCompressor::decompressWindowInto(std::span<const uint8_t> payload,
                                     uint64_t original_bytes,
                                     uint8_t *out) const
 {
-    const uint64_t full_words = original_bytes / kWordBytes;
-    const uint64_t tail_bytes = original_bytes % kWordBytes;
-
-    // The mask-driven scatter of each group is the kernel backend's
-    // zvcExpandGroup op — the inverse of the compaction above and the
-    // software mirror of the DPE's scatter network. The bounds check
-    // runs before the kernel call, so a backend never sees a payload
-    // shorter than the mask's popcount promises; a truncated or
-    // corrupted wire payload surfaces as a Status, never a panic.
-    const KernelOps &kernel = kernels();
-    size_t cursor = 0;
-    uint64_t word = 0;
-    while (word < full_words) {
-        const uint64_t group =
-            std::min<uint64_t>(kMaskWords, full_words - word);
-        if (cursor + sizeof(uint32_t) > payload.size()) {
-            return Status::truncated(
-                "ZV: payload truncated before mask at byte %zu "
-                "(payload %zu bytes)", cursor, payload.size());
-        }
-        uint32_t mask;
-        std::memcpy(&mask, payload.data() + cursor, sizeof(mask));
-        cursor += sizeof(mask);
-        // Bits beyond a short final group would index past the output
-        // region; drop them (the trailing-bytes check below still flags
-        // the corrupt payload).
-        if (group < kMaskWords)
-            mask &= (1u << group) - 1u;
-
-        const uint64_t present = static_cast<uint64_t>(popcount32(mask));
-        if (cursor + present * kWordBytes > payload.size()) {
-            return Status::truncated(
-                "ZV: payload truncated in non-zero data at byte %zu "
-                "(mask promises %llu words, payload %zu bytes)", cursor,
-                static_cast<unsigned long long>(present), payload.size());
-        }
-
-        cursor += kernel.zvcExpandGroup(payload.data() + cursor, mask,
-                                        static_cast<uint32_t>(group),
-                                        out + word * kWordBytes);
-        word += group;
+    // The backend's zvcExpandWindow bounds-checks every mask and payload
+    // read, so a truncated or corrupted wire payload surfaces here as a
+    // Status, never a panic or an out-of-bounds access.
+    using Fault = ZvcExpandResult::Fault;
+    const ZvcExpandResult result = kernels().zvcExpandWindow(
+        payload.data(), payload.size(), original_bytes, out);
+    switch (result.fault) {
+      case Fault::None:
+        return Status();
+      case Fault::MaskTruncated:
+        return Status::truncated(
+            "ZV: payload truncated before mask at byte %zu "
+            "(payload %zu bytes)", result.cursor, payload.size());
+      case Fault::DataTruncated:
+        return Status::truncated(
+            "ZV: payload truncated in non-zero data at byte %zu "
+            "(mask promises %u words, payload %zu bytes)", result.cursor,
+            result.promised, payload.size());
+      case Fault::TailTruncated:
+        return Status::truncated(
+            "ZV: payload truncated in raw tail at byte %zu "
+            "(payload %zu bytes)", result.cursor, payload.size());
+      case Fault::TrailingBytes:
+        break;
     }
-
-    if (tail_bytes) {
-        if (cursor + tail_bytes > payload.size()) {
-            return Status::truncated(
-                "ZV: payload truncated in raw tail at byte %zu "
-                "(payload %zu bytes)", cursor, payload.size());
-        }
-        std::memcpy(out + full_words * kWordBytes,
-                    payload.data() + cursor, tail_bytes);
-        cursor += tail_bytes;
-    }
-    if (cursor != payload.size()) {
-        return Status::corrupt("ZV: payload has %zu trailing bytes",
-                               payload.size() - cursor);
-    }
-    return Status();
+    return Status::corrupt("ZV: payload has %zu trailing bytes",
+                           payload.size() - result.cursor);
 }
 
 } // namespace cdma

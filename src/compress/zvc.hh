@@ -41,12 +41,13 @@ class ZvcCompressor : public Compressor
                                    uint64_t nonzero_words);
 
     /**
-     * Single-pass streaming codec: each 32-word group is masked and
-     * left-packed by the kernel backend's zvcCompactGroup op (branchless
-     * compaction on the scalar backend, vpcmpeqd + shuffle-table vpermd
-     * on AVX2 — both software analogues of the hardware's prefix-sum
-     * shift network). Decompression popcounts each mask to bounds-check
-     * and scatter batched memcpy/memset runs.
+     * Single-pass streaming codec: the whole window is masked and
+     * left-packed by the kernel backend's zvcCompressWindow op
+     * (branchless compaction on the scalar backend, shuffle-table vpermd
+     * on AVX2, vpcompressd on AVX-512 — software analogues of the
+     * hardware's prefix-sum shift network) and restored by its
+     * bounds-checked zvcExpandWindow op. The codec itself only sizes the
+     * output and turns expand faults into a Status.
      */
     void compressWindowInto(std::span<const uint8_t> window,
                             ByteVec &out) const override;

@@ -322,6 +322,55 @@ TEST(CdmaEngine, OverlappedModeTimesPlansThroughThePipeline)
                      direct.offload.overlapped_seconds);
 }
 
+TEST(TransferEngine, ClosedFormPricesTheConfiguredRoute)
+{
+    // A configured two-node graph at half the GpuSpec link rate: the
+    // closed form, and the fault-free planFromRatio built on it, must
+    // price the graph's edge, exactly as duplexTiming replays it.
+    CdmaConfig config;
+    config.transfer.timing_mode = TimingMode::Overlapped;
+    const auto graph =
+        Topology::pcieLink(config.gpu.pcie_effective_bandwidth / 2,
+                           config.transfer.duplex_mode,
+                           config.transfer.link_arbiter);
+    config.topology.graph = graph;
+    config.topology.gpu_node = graph->firstNode(NodeKind::Gpu);
+    config.topology.host_node = graph->firstNode(NodeKind::HostDram);
+    const CdmaEngine engine(config);
+    const TransferEngine transfers(engine);
+
+    const uint64_t raw = 64ull << 20;
+    const std::vector<ShardTransfer> train = transfers.shardTrain(raw, 2.5);
+    const OffloadTiming off = transfers.duplexTiming(train, {}).offload;
+    const PrefetchTiming pre = transfers.duplexTiming({}, train).prefetch;
+    const DuplexTiming closed = transfers.closedForm(raw, 2.5);
+    EXPECT_NEAR(closed.offload.wire_seconds, off.wire_seconds,
+                1e-9 * off.wire_seconds);
+    EXPECT_NEAR(closed.offload.overlapped_seconds, off.overlapped_seconds,
+                1e-9 * off.overlapped_seconds);
+    EXPECT_NEAR(closed.prefetch.wire_seconds, pre.wire_seconds,
+                1e-9 * pre.wire_seconds);
+    EXPECT_NEAR(closed.prefetch.overlapped_seconds, pre.overlapped_seconds,
+                1e-9 * pre.overlapped_seconds);
+
+    const TransferPlan plan = engine.planFromRatio("map", raw, 2.5);
+    EXPECT_NEAR(plan.offload.overlapped_seconds, off.overlapped_seconds,
+                1e-9 * off.overlapped_seconds);
+    EXPECT_NEAR(plan.prefetch.overlapped_seconds, pre.overlapped_seconds,
+                1e-9 * pre.overlapped_seconds);
+
+    // The half-rate edge is the bottleneck: the wire leg takes twice
+    // what the same map takes on the GpuSpec link.
+    CdmaConfig direct;
+    direct.transfer.timing_mode = TimingMode::Overlapped;
+    const CdmaEngine direct_engine(direct);
+    const DuplexTiming full_rate =
+        TransferEngine(direct_engine).closedForm(raw, 2.5);
+    EXPECT_NEAR(closed.offload.wire_seconds,
+                2 * full_rate.offload.wire_seconds,
+                1e-9 * closed.offload.wire_seconds);
+}
+
 TEST(CdmaEngine, DisabledCompressionBypassesThePipelineModel)
 {
     // No cDMA engine in the path means no compression-fetch leg: a

@@ -3,8 +3,9 @@
  * Differential tests for the prefetch-side (decompression) kernel ops
  * and their codec routing, mirroring tests/compress/kernels_test.cc for
  * the compression direction: op-level equivalence of every supported
- * backend against the scalar reference (zvcExpandGroup mask scatter,
- * zeroFillBytes run reconstruction), byte-identity of decompressed
+ * backend against the scalar reference (zvcExpandWindow mask scatter
+ * and fault reporting, zeroFillBytes run reconstruction),
+ * byte-identity of decompressed
  * output across backends for all three codecs — densities, odd sizes,
  * sub-word tails, 1/2/8 lanes — and the in-order shard-streaming
  * decompression drain.
@@ -22,6 +23,7 @@
 #include "compress/compressor.hh"
 #include "compress/kernels/kernels.hh"
 #include "compress/parallel.hh"
+#include "compress/zvc.hh"
 
 namespace cdma {
 namespace {
@@ -60,89 +62,179 @@ class DecompressKernelOpEquivalence : public ::testing::Test
     }
 };
 
-TEST_F(DecompressKernelOpEquivalence, ZvcExpandGroupInvertsCompact)
+/** Window sizes in words: full groups, every short-group residue class. */
+constexpr size_t kWindowWords[] = {1,  2,  7,   8,   9,   15,  16,  17,
+                                   24, 31, 32,  33,  47,  48,  63,  64,
+                                   65, 100, 127, 128, 129, 255, 511, 1024};
+
+/** @p input compressed by the scalar reference, right-sized. */
+std::vector<uint8_t>
+compressReference(const std::vector<uint8_t> &input)
 {
-    // Compact with the scalar reference, then expand with every
-    // backend: the output must reproduce the original words exactly and
-    // consume exactly 4 * popcount(mask) payload bytes.
-    const KernelOps &ref = scalarKernels();
+    std::vector<uint8_t> packed(
+        ZvcCompressor().compressedBound(input.size()));
+    packed.resize(scalarKernels().zvcCompressWindow(
+        input.data(), input.size(), packed.data()));
+    return packed;
+}
+
+TEST_F(DecompressKernelOpEquivalence, ZvcExpandWindowInvertsCompress)
+{
+    // Compress with the scalar reference, then expand with every
+    // backend: the output must reproduce the original window exactly
+    // (sub-word tail included) and consume the whole payload.
     for (const KernelOps *ops : supportedKernels()) {
         for (const double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-            for (const uint32_t words :
-                 {1u, 2u, 7u, 8u, 9u, 15u, 16u, 24u, 31u, 32u}) {
-                const auto input =
-                    makeWords(density, words * 4, 301 + words);
-                std::vector<uint8_t> packed(words * 4 + 32, 0xAA);
-                const uint32_t mask = ref.zvcCompactGroup(
-                    input.data(), words, packed.data());
-                const uint32_t live =
-                    4u * static_cast<uint32_t>(std::popcount(mask));
-                // The payload the expand op may read is exactly the
-                // live bytes: hand it a right-sized copy so any
-                // over-read lands outside the allocation (ASan job).
-                std::vector<uint8_t> payload(
-                    packed.begin(), packed.begin() + live);
-                std::vector<uint8_t> out(words * 4 + 32, 0xEE);
-                const uint32_t consumed = ops->zvcExpandGroup(
-                    payload.data(), mask, words, out.data());
-                EXPECT_EQ(consumed, live)
-                    << ops->name << " words=" << words
-                    << " density=" << density;
-                ASSERT_EQ(0, std::memcmp(out.data(), input.data(),
-                                         words * 4))
-                    << ops->name << " words=" << words
-                    << " density=" << density;
-                // No write past the group.
-                for (size_t i = words * 4; i < out.size(); ++i) {
-                    ASSERT_EQ(out[i], 0xEE)
-                        << ops->name << " words=" << words << " i=" << i;
+            for (const size_t words : kWindowWords) {
+                for (const size_t tail : {0u, 2u, 3u}) {
+                    const size_t bytes = words * 4 + tail;
+                    const auto input =
+                        makeWords(density, bytes, 301 + bytes);
+                    // The payload the expand op may read is exactly the
+                    // stream: a right-sized copy puts any over-read
+                    // outside the allocation (ASan job).
+                    const auto payload = compressReference(input);
+                    std::vector<uint8_t> out(bytes + 64, 0xEE);
+                    const ZvcExpandResult result = ops->zvcExpandWindow(
+                        payload.data(), payload.size(), bytes, out.data());
+                    EXPECT_EQ(result, (ZvcExpandResult{
+                                          ZvcExpandResult::Fault::None,
+                                          payload.size(), 0}))
+                        << ops->name << " words=" << words
+                        << " density=" << density;
+                    ASSERT_EQ(0, std::memcmp(out.data(), input.data(),
+                                             bytes))
+                        << ops->name << " words=" << words
+                        << " tail=" << tail << " density=" << density;
+                    // No write past the window.
+                    for (size_t i = bytes; i < out.size(); ++i) {
+                        ASSERT_EQ(out[i], 0xEE)
+                            << ops->name << " words=" << words
+                            << " i=" << i;
+                    }
                 }
             }
         }
     }
 }
 
-TEST_F(DecompressKernelOpEquivalence, ZvcExpandGroupSparsePatterns)
+TEST_F(DecompressKernelOpEquivalence, ZvcExpandWindowSparsePatterns)
 {
-    // Directed masks: empty, full, single bits at the edges, and
-    // random patterns over every sub-block boundary.
+    // Directed masks per group: empty, full, single bits at the edges,
+    // random patterns over every sub-block boundary — including stray
+    // bits above a short last group, which every backend must ignore
+    // the same way (the surplus words then read as trailing bytes).
     Rng rng(47);
     for (const KernelOps *ops : supportedKernels()) {
         for (int trial = 0; trial < 300; ++trial) {
-            const uint32_t words = 1 + rng.uniformInt(32);
-            uint32_t mask;
-            switch (trial % 5) {
-              case 0: mask = 0; break;
-              case 1:
-                mask = words == 32 ? 0xFFFFFFFFu : (1u << words) - 1;
-                break;
-              case 2: mask = 1u; break;
-              case 3: mask = 1u << (words - 1); break;
-              default:
-                mask = static_cast<uint32_t>(rng.uniformInt(1u << 16)) |
-                    (static_cast<uint32_t>(rng.uniformInt(1u << 16))
-                     << 16);
-                break;
+            const size_t words = 1 + rng.uniformInt(trial < 150 ? 32 : 300);
+            std::vector<uint8_t> payload;
+            for (size_t w = 0; w < words; w += 32) {
+                const auto group =
+                    static_cast<uint32_t>(std::min<size_t>(32, words - w));
+                const uint32_t full =
+                    group == 32 ? 0xFFFFFFFFu : (1u << group) - 1;
+                uint32_t mask;
+                switch ((trial + w / 32) % 5) {
+                  case 0: mask = 0; break;
+                  case 1: mask = full; break;
+                  case 2: mask = 1u; break;
+                  case 3: mask = 1u << (group - 1); break;
+                  default:
+                    mask = static_cast<uint32_t>(rng.uniformInt(1u << 16)) |
+                        (static_cast<uint32_t>(rng.uniformInt(1u << 16))
+                         << 16);
+                    break;
+                }
+                if (trial % 7 != 0)
+                    mask &= full;
+                const uint8_t *bytes =
+                    reinterpret_cast<const uint8_t *>(&mask);
+                payload.insert(payload.end(), bytes, bytes + 4);
+                for (int i = 0; i < 4 * std::popcount(mask); ++i) {
+                    payload.push_back(
+                        static_cast<uint8_t>(1 + rng.uniformInt(255)));
+                }
             }
-            if (words < 32)
-                mask &= (1u << words) - 1;
-            const uint32_t present =
-                static_cast<uint32_t>(std::popcount(mask));
-            std::vector<uint8_t> payload(present * 4);
-            for (auto &byte : payload)
-                byte = static_cast<uint8_t>(1 + rng.uniformInt(255));
 
             std::vector<uint8_t> expect(words * 4 + 8, 0xCC);
             std::vector<uint8_t> got(words * 4 + 8, 0xCC);
-            const uint32_t consumed_ref = scalarKernels().zvcExpandGroup(
-                payload.data(), mask, words, expect.data());
-            const uint32_t consumed = ops->zvcExpandGroup(
-                payload.data(), mask, words, got.data());
-            EXPECT_EQ(consumed, consumed_ref)
+            const ZvcExpandResult result_ref =
+                scalarKernels().zvcExpandWindow(
+                    payload.data(), payload.size(), words * 4,
+                    expect.data());
+            const ZvcExpandResult result = ops->zvcExpandWindow(
+                payload.data(), payload.size(), words * 4, got.data());
+            EXPECT_EQ(result, result_ref)
                 << ops->name << " trial " << trial;
-            ASSERT_EQ(expect, got) << ops->name << " trial " << trial
-                                   << " mask=" << mask
-                                   << " words=" << words;
+            if (result_ref.fault == ZvcExpandResult::Fault::None) {
+                ASSERT_EQ(expect, got) << ops->name << " trial " << trial
+                                       << " words=" << words;
+            }
+            for (size_t i = words * 4; i < got.size(); ++i)
+                ASSERT_EQ(got[i], 0xCC) << ops->name << " trial " << trial;
+        }
+    }
+}
+
+TEST_F(DecompressKernelOpEquivalence, ZvcExpandWindowFaultsMatchScalar)
+{
+    // A payload cut at every byte offset, or carrying trailing bytes:
+    // every backend reports scalar's fault at scalar's offset (so the
+    // codec returns the same StatusCode and message), never reads past
+    // the right-sized payload (ASan job) and never writes past the
+    // window.
+    const KernelOps &ref = scalarKernels();
+    const ZvcCompressor reference_codec(4096, &ref);
+    for (const KernelOps *ops : supportedKernels()) {
+        const ZvcCompressor codec(4096, ops);
+        for (const double density : {0.0, 0.5, 1.0}) {
+            for (const size_t words : {1u, 9u, 31u, 32u, 33u, 100u, 1024u}) {
+                for (const size_t tail : {0u, 3u}) {
+                    const size_t bytes = words * 4 + tail;
+                    const auto input =
+                        makeWords(density, bytes, 501 + bytes);
+                    const auto stream = compressReference(input);
+                    std::vector<std::vector<uint8_t>> payloads;
+                    for (size_t cut = 0; cut < stream.size(); ++cut)
+                        payloads.emplace_back(stream.begin(),
+                                              stream.begin() + cut);
+                    for (const size_t extra : {1u, 4u, 5u}) {
+                        payloads.push_back(stream);
+                        payloads.back().resize(stream.size() + extra, 0x5A);
+                    }
+                    for (const auto &payload : payloads) {
+                        std::vector<uint8_t> want(bytes + 64, 0xEE);
+                        std::vector<uint8_t> got(bytes + 64, 0xEE);
+                        const ZvcExpandResult expect = ref.zvcExpandWindow(
+                            payload.data(), payload.size(), bytes,
+                            want.data());
+                        const ZvcExpandResult result = ops->zvcExpandWindow(
+                            payload.data(), payload.size(), bytes,
+                            got.data());
+                        ASSERT_NE(expect.fault, ZvcExpandResult::Fault::None)
+                            << "payload " << payload.size() << "/"
+                            << stream.size();
+                        ASSERT_EQ(result, expect)
+                            << ops->name << " words=" << words
+                            << " payload " << payload.size() << "/"
+                            << stream.size();
+                        for (size_t i = bytes; i < got.size(); ++i) {
+                            ASSERT_EQ(got[i], 0xEE)
+                                << ops->name << " wrote past the window"
+                                << " words=" << words << " payload "
+                                << payload.size();
+                        }
+                        const Status status_ref =
+                            reference_codec.decompressWindowInto(
+                                payload, bytes, want.data());
+                        const Status status = codec.decompressWindowInto(
+                            payload, bytes, got.data());
+                        ASSERT_EQ(status.code(), status_ref.code());
+                        ASSERT_EQ(status.toString(), status_ref.toString());
+                    }
+                }
+            }
         }
     }
 }

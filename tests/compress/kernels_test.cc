@@ -23,6 +23,7 @@
 #include "compress/compressor.hh"
 #include "compress/kernels/kernels.hh"
 #include "compress/parallel.hh"
+#include "compress/zvc.hh"
 
 namespace cdma {
 namespace {
@@ -161,31 +162,56 @@ class KernelOpEquivalence : public ::testing::Test
     }
 };
 
-TEST_F(KernelOpEquivalence, ZvcCompactGroup)
+TEST_F(KernelOpEquivalence, ZvcCompressWindow)
 {
+    // Whole-window compaction: 1..1024 words (full groups, a short last
+    // group of every residue class, short 8- and 16-word sub-blocks)
+    // times every sub-word tail, at densities 0..1. Every backend must
+    // emit scalar's stream byte for byte, of exactly the predicted
+    // length, and keep its scratch stores inside compressedBound.
     const KernelOps &ref = scalarKernels();
-    for (const KernelOps *ops : others()) {
+    const ZvcCompressor bound_of;
+    constexpr size_t kSentinel = 64;
+    for (const KernelOps *ops : supportedKernels()) {
         for (const double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-            for (const uint32_t words :
-                 {1u, 2u, 7u, 8u, 9u, 15u, 16u, 24u, 31u, 32u}) {
-                const auto input =
-                    makeWords(density, words * 4, 91 + words);
-                // Headroom: backends may store whole sub-blocks
-                // unconditionally.
-                std::vector<uint8_t> a(words * 4 + 32, 0xAA);
-                std::vector<uint8_t> b(words * 4 + 32, 0xAA);
-                const uint32_t mask_a = ref.zvcCompactGroup(
-                    input.data(), words, a.data());
-                const uint32_t mask_b = ops->zvcCompactGroup(
-                    input.data(), words, b.data());
-                ASSERT_EQ(mask_a, mask_b)
-                    << ops->name << " words=" << words
-                    << " density=" << density;
-                const size_t live = 4u * static_cast<size_t>(
-                    std::popcount(mask_a));
-                ASSERT_EQ(0, std::memcmp(a.data(), b.data(), live))
-                    << ops->name << " words=" << words
-                    << " density=" << density;
+            for (const size_t words :
+                 {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 31u, 32u, 33u,
+                  47u, 48u, 63u, 64u, 65u, 100u, 127u, 128u, 129u, 255u,
+                  256u, 511u, 512u, 1000u, 1023u, 1024u}) {
+                for (const size_t tail : {0u, 1u, 3u}) {
+                    const size_t bytes = words * 4 + tail;
+                    const auto input =
+                        makeWords(density, bytes, 91 + bytes);
+                    const size_t bound = static_cast<size_t>(
+                        bound_of.compressedBound(bytes));
+                    std::vector<uint8_t> a(bound + kSentinel, 0xAA);
+                    std::vector<uint8_t> b(bound + kSentinel, 0xAA);
+                    const size_t len_a =
+                        ref.zvcCompressWindow(input.data(), bytes,
+                                              a.data());
+                    const size_t len_b =
+                        ops->zvcCompressWindow(input.data(), bytes,
+                                               b.data());
+                    size_t nonzero = 0;
+                    for (size_t w = 0; w < words; ++w) {
+                        uint32_t value;
+                        std::memcpy(&value, input.data() + w * 4, 4);
+                        nonzero += value != 0;
+                    }
+                    ASSERT_EQ(len_a, ZvcCompressor::predictedBytes(
+                                         words, nonzero) + tail);
+                    ASSERT_EQ(len_a, len_b)
+                        << ops->name << " words=" << words
+                        << " tail=" << tail << " density=" << density;
+                    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), len_a))
+                        << ops->name << " words=" << words
+                        << " tail=" << tail << " density=" << density;
+                    for (size_t i = bound; i < b.size(); ++i) {
+                        ASSERT_EQ(b[i], 0xAA)
+                            << ops->name << " wrote past the bound at +"
+                            << i - bound << " words=" << words;
+                    }
+                }
             }
         }
     }
@@ -298,6 +324,58 @@ TEST_F(KernelOpEquivalence, Crc32)
             EXPECT_EQ(ops->crc32(seed, data.data() + split, n - split),
                       expect)
                 << ops->name << " n=" << n << " split=" << split;
+        }
+    }
+
+    // The hardware CRC runs three streams of B bytes per block for each
+    // stride B and merges them with a polynomial shift; pin it to the
+    // slice-by-8 reference on both sides of every block edge (3B and
+    // 2 * 3B, plus mixes of the strides), with nonzero seeds, unaligned
+    // starts and chained calls whose split lands on or next to an edge.
+    const size_t wide = kCrc32cStreamStrides[0];
+    const size_t narrow = kCrc32cStreamStrides[1];
+    std::vector<size_t> lengths = {3 * wide + 3 * narrow - 1,
+                                   3 * wide + 3 * narrow,
+                                   3 * wide + 6 * narrow + 9};
+    for (const size_t stride : kCrc32cStreamStrides) {
+        for (const size_t blocks : {1u, 2u}) {
+            for (const int delta : {-1, 0, 1})
+                lengths.push_back(3 * stride * blocks + delta);
+        }
+    }
+    const size_t largest =
+        *std::max_element(lengths.begin(), lengths.end());
+    const auto data = makeWords(0.7, largest + 16, 4242);
+    for (const KernelOps *ops : others()) {
+        for (const size_t n : lengths) {
+            for (const uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0x9E3779B9u,
+                                        static_cast<uint32_t>(
+                                            rng.uniformInt(1u << 31))}) {
+                for (const size_t offset : {0u, 1u, 3u, 7u, 13u}) {
+                    const uint8_t *start = data.data() + offset;
+                    EXPECT_EQ(ops->crc32(seed, start, n),
+                              ref.crc32(seed, start, n))
+                        << ops->name << " n=" << n << " seed=" << seed
+                        << " offset=" << offset;
+                }
+            }
+            const uint32_t whole = ref.crc32(0, data.data() + 1, n);
+            for (const size_t stride : kCrc32cStreamStrides) {
+                for (const size_t edge : {stride, 3 * stride, 6 * stride}) {
+                    for (const int delta : {-1, 0, 1}) {
+                        const size_t split = edge + delta;
+                        if (split > n)
+                            continue;
+                        const uint32_t head =
+                            ops->crc32(0, data.data() + 1, split);
+                        EXPECT_EQ(ops->crc32(head, data.data() + 1 + split,
+                                             n - split),
+                                  whole)
+                            << ops->name << " n=" << n
+                            << " split=" << split;
+                    }
+                }
+            }
         }
     }
 }
